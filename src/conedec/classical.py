@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .division import InvalidDivisionError, RelDivision
-from .terms import Term, degree, enumerate_terms
+from .terms import Term, degree, enumerate_terms, pure_power
 
 
 def _pommaret_mult(t: Term, n: int, order: tuple[int, ...]) -> frozenset[int]:
@@ -72,17 +72,15 @@ def detect_pommaret(div: RelDivision) -> tuple[int, ...] | None:
     """
     if not div.is_full_slice:
         raise InvalidDivisionError("recognition works on full-slice assignments only")
-    report = div.validate()
-    if not report.valid:
+    if not div.is_valid:
         raise InvalidDivisionError("recognition needs a valid assignment")
     sets = sorted(div.mult.values(), key=lambda m: (len(m), sorted(m)))
     for a, b in zip(sets, sets[1:]):
         if not a <= b:
             return None
     n, d = div.n, div.degree
-    def pure(i: int) -> Term:
-        return tuple(d if j == i - 1 else 0 for j in range(n))
-    order = tuple(sorted(range(1, n + 1), key=lambda i: (len(div.mult[pure(i)]), i)))
+    order = tuple(sorted(range(1, n + 1),
+                         key=lambda i: (len(div.mult[pure_power(n, d, i)]), i)))
     rebuilt = pommaret_on_slice(n, d, order)
     if rebuilt.mult == div.mult:
         return order

@@ -29,6 +29,10 @@ from .terms import (
 USAGE_ERROR = 2
 
 
+class UsageError(Exception):
+    """Bad input from the user; reported with exit code 2."""
+
+
 def _print_json(obj, compact: bool = False) -> None:
     if compact:
         print(json.dumps(obj, separators=(",", ":")))
@@ -37,8 +41,11 @@ def _print_json(obj, compact: bool = False) -> None:
 
 
 def _load_division(path: str) -> RelDivision:
-    with open(path, "r", encoding="utf-8") as fh:
-        return RelDivision.from_json(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return RelDivision.from_json(fh.read())
+    except ValueError as exc:
+        raise UsageError(f"{path} is not a division file: {exc}") from None
 
 
 def _color_allowed() -> bool:
@@ -260,6 +267,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except FileNotFoundError as exc:
         print(f"cannot read {exc.filename}", file=sys.stderr)
+        return USAGE_ERROR
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (DivisionError, LookupError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

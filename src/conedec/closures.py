@@ -44,7 +44,7 @@ class ClosureReport:
 def _prepare(div: RelDivision, seed) -> list[Term]:
     if not div.is_full_slice:
         raise InvalidDivisionError("closures are defined on full-slice assignments")
-    if not div.validate().valid:
+    if not div.is_valid:
         raise InvalidDivisionError("closures need a valid assignment")
     seed = [tuple(t) for t in seed]
     for t in seed:
@@ -53,52 +53,38 @@ def _prepare(div: RelDivision, seed) -> list[Term]:
     return sorted(set(seed), key=deglex_key)
 
 
-def compliant_closure(div: RelDivision, seed) -> ClosureReport:
-    """Smallest compliant superset of the seed.
-
-    A term t joins when some member s puts lcm(s, t) into the cone of t
-    itself; candidates and members are scanned in deg-lex order, so the
-    witness list is deterministic.
-    """
-    seed = _prepare(div, seed)
-    members = set(seed)
+def _reach(div: RelDivision, seed: list[Term], forward: bool) -> ClosureReport:
+    """Breadth-first reachability from the seed along the edges t -> s of the
+    redundant graph (lcm(s, t) in the cone of t), forwards or backwards.
+    Members are expanded in the order they joined, neighbours in deg-lex
+    order, so the witness list is deterministic."""
+    terms, table = div.support, div.pair_table
+    step = table.heads if forward else table.tails
+    order = [table.row[t] for t in seed]
+    members = set(order)
     witnesses: list[Witness] = []
-    changed = True
-    while changed:
-        changed = False
-        for t in div.support:
-            if t in members:
+    for a in order:  # grows while it is walked
+        for b in step(a):
+            if b in members:
                 continue
-            for s in sorted(members, key=deglex_key):
-                if div.x_of(s, t) == t:
-                    members.add(t)
-                    witnesses.append((t, s, t, term_lcm(s, t), t))
-                    changed = True
-                    break
+            members.add(b)
+            order.append(b)
+            t, s = (terms[a], terms[b]) if forward else (terms[b], terms[a])
+            witnesses.append((terms[b], s, t, term_lcm(s, t), t))
     return ClosureReport(
-        div.n, tuple(seed), tuple(sorted(members, key=deglex_key)), tuple(witnesses))
+        div.n, tuple(seed), tuple(terms[i] for i in sorted(members)), tuple(witnesses))
+
+
+def compliant_closure(div: RelDivision, seed) -> ClosureReport:
+    """Smallest compliant superset of the seed: t joins when some member s
+    puts lcm(s, t) into the cone of t itself."""
+    return _reach(div, _prepare(div, seed), forward=False)
 
 
 def revenant_closure(div: RelDivision, seed) -> ClosureReport:
     """Smallest revenant superset of the seed: s joins when lcm(t, s) lies in
     the cone of a member t."""
-    seed = _prepare(div, seed)
-    members = set(seed)
-    witnesses: list[Witness] = []
-    changed = True
-    while changed:
-        changed = False
-        for s in div.support:
-            if s in members:
-                continue
-            for t in sorted(members, key=deglex_key):
-                if div.x_of(t, s) == t:
-                    members.add(s)
-                    witnesses.append((s, s, t, term_lcm(t, s), t))
-                    changed = True
-                    break
-    return ClosureReport(
-        div.n, tuple(seed), tuple(sorted(members, key=deglex_key)), tuple(witnesses))
+    return _reach(div, _prepare(div, seed), forward=True)
 
 
 @dataclass(frozen=True)

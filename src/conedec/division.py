@@ -10,7 +10,12 @@ pairwise disjointness via the gcd criterion, coverage via the size profile.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import comb
+from types import MappingProxyType
+from typing import NamedTuple
 import json
 
 from .terms import (
@@ -18,18 +23,19 @@ from .terms import (
     VarSet,
     deglex_key,
     degree,
-    enumerate_terms,
     format_term,
     format_varset,
     parse_term,
     parse_varset,
+    pure_power,
+    quotient_masks,
     sigma_expected,
     support,
     term_div,
     term_divides,
-    term_gcd,
     term_lcm,
     var_names,
+    varmask,
 )
 
 
@@ -87,20 +93,41 @@ class ValidationReport:
         }
 
 
-@dataclass(eq=True)
+class PairTable(NamedTuple):
+    """Pair facts of a support, rows and columns in support order, variable
+    sets as varmasks.  Row t "lands" on row s when lcm(t_s, t_t) lies in the
+    cone of t_t, that is, when quot[s][t] sits inside mult[t]."""
+
+    row: dict[Term, int]                # term -> its position in the support
+    quot: tuple[tuple[int, ...], ...]   # quot[i][j]: variables of t_i / gcd(t_i, t_j)
+    mult: tuple[int, ...]               # mult[i]: M(t_i)
+
+    def heads(self, t: int) -> list[int]:
+        """Rows s != t on which t lands."""
+        outside = ~self.mult[t]
+        return [s for s, q in enumerate(self.quot) if s != t and not q[t] & outside]
+
+    def tails(self, s: int) -> list[int]:
+        """Rows t != s that land on s."""
+        q = self.quot[s]
+        return [t for t, m in enumerate(self.mult) if t != s and not q[t] & ~m]
+
+
+@dataclass(frozen=True)
 class RelDivision:
     """A multiplicative-variable assignment over a fixed finite support.
 
     degree is the slice degree when the support is the full degree slice,
-    None for an arbitrary finite term set.  Instances are treated as
-    immutable after construction.
+    None for an arbitrary finite term set.  Instances are immutable: mult is
+    a read-only mapping, so the caches below cannot go stale.
     """
 
     n: int
     degree: int | None
     support: tuple[Term, ...]
-    mult: dict[Term, VarSet]
+    mult: Mapping[Term, VarSet]
     _cover_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _valid: bool | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -118,13 +145,19 @@ class RelDivision:
         for t, m in self.mult.items():
             if not set(m) <= allvars:
                 raise ValueError(f"variable indices out of range in M({format_term(t, self.n)})")
-        if self.degree is not None:
-            full = enumerate_terms(self.n, self.degree)
-            if sorted(seen, key=deglex_key) != full:
-                raise ValueError(
-                    f"support is not the full degree-{self.degree} slice in {self.n} variables")
-        self.support = tuple(sorted(self.support, key=deglex_key))
-        self.mult = {t: frozenset(self.mult[t]) for t in self.support}
+        if self.degree is not None and (
+                any(degree(t) != self.degree for t in seen)
+                or len(seen) != comb(self.degree + self.n - 1, self.n - 1)):
+            raise ValueError(
+                f"support is not the full degree-{self.degree} slice in {self.n} variables")
+        support_ = tuple(sorted(self.support, key=deglex_key))
+        object.__setattr__(self, "support", support_)
+        object.__setattr__(
+            self, "mult", MappingProxyType({t: frozenset(self.mult[t]) for t in support_}))
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle; rebuild from a plain dict
+        return (type(self), (self.n, self.degree, self.support, dict(self.mult)))
 
     # -- constructors ------------------------------------------------------
 
@@ -207,6 +240,21 @@ class RelDivision:
 
     # -- validation --------------------------------------------------------
 
+    @cached_property
+    def pair_table(self) -> PairTable:
+        return PairTable(
+            {t: i for i, t in enumerate(self.support)},
+            quotient_masks(self.support),
+            tuple(varmask(self.mult[t]) for t in self.support),
+        )
+
+    @property
+    def is_valid(self) -> bool:
+        """validate().valid, computed once per division."""
+        if self._valid is None:
+            self.validate()
+        return self._valid
+
     def validate(self) -> ValidationReport:
         """Exact validity check.
 
@@ -220,12 +268,11 @@ class RelDivision:
         violations: list[dict] = []
         notes: list[str] = []
         terms = self.support
+        quot, mult = self.pair_table.quot, self.pair_table.mult
         for i, u in enumerate(terms):
-            for v in terms[i + 1:]:
-                w = term_gcd(u, v)
-                a = support(term_div(u, w))
-                b = support(term_div(v, w))
-                if b <= self.mult[u] and a <= self.mult[v]:
+            for j in range(i + 1, len(terms)):
+                if not quot[j][i] & ~mult[i] and not quot[i][j] & ~mult[j]:
+                    v = terms[j]
                     violations.append(
                         {"kind": "overlap", "u": u, "v": v, "witness": term_lcm(u, v)})
         if self.is_full_slice:
@@ -235,8 +282,7 @@ class RelDivision:
                 violations.append(
                     {"kind": "profile-mismatch", "observed": observed, "expected": expected})
             for i in range(1, self.n + 1):
-                pure = tuple(self.degree if j == i - 1 else 0 for j in range(self.n))
-                if i not in self.mult[pure]:
+                if i not in self.mult[pure_power(self.n, self.degree, i)]:
                     violations.append({"kind": "pure-power", "variable": i})
             full = frozenset(range(1, self.n + 1))
             peaks = [u for u in terms if self.mult[u] == full]
@@ -246,6 +292,7 @@ class RelDivision:
                 violations.append({"kind": "multiple-peaks", "terms": peaks})
         else:
             notes.append("coverage unverified here")
+        object.__setattr__(self, "_valid", not violations)
         return ValidationReport(self.n, not violations, violations, notes)
 
     # -- permutation -------------------------------------------------------
@@ -281,23 +328,33 @@ class RelDivision:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RelDivision":
+        """Inverse of to_json_dict; raises ValueError on anything that does
+        not follow its schema."""
+        if not isinstance(data, dict):
+            raise ValueError("a division must be a JSON object")
         try:
             n = data["n"]
             mult_raw = data["multiplicative"]
         except KeyError as exc:
             raise ValueError(f"division JSON misses key {exc}") from None
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise ValueError(f"bad variable count {n!r}")
-        names = data.get("variables", var_names(n))
-        if sorted(names) != sorted(var_names(n)):
-            raise ValueError(f"unexpected variable names {names} for n={n}")
+        d = data.get("degree")
+        if d is not None and not (type(d) is int and d >= 0):
+            raise ValueError(f"bad degree {d!r}")
+        if "variables" in data and data["variables"] != var_names(n):
+            raise ValueError(f"variables must be {var_names(n)} for n={n}")
+        if not isinstance(mult_raw, dict):
+            raise ValueError("multiplicative must map terms to variable lists")
         mult = {}
         for key, vals in mult_raw.items():
             t = parse_term(key, n)
             if t in mult:
                 raise ValueError(f"duplicate term {key!r}")
+            if not isinstance(vals, list):
+                raise ValueError(f"multiplicative variables of {key!r} must be a list")
             mult[t] = parse_varset(vals, n)
-        return cls(n, data.get("degree"), tuple(mult), mult)
+        return cls(n, d, tuple(mult), mult)
 
     @classmethod
     def from_json(cls, text: str) -> "RelDivision":

@@ -19,6 +19,7 @@ from .terms import (
     VarSet,
     enumerate_terms,
     format_term,
+    pure_power,
     sigma_expected,
     support,
     term_div,
@@ -191,8 +192,7 @@ def seed_constraints(n: int, d: int) -> PartialAssignment:
     terms = tuple(enumerate_terms(n, d))
     forced_in: dict[Term, set[int]] = {t: set() for t in terms}
     for i in range(1, n + 1):
-        pure = tuple(d if j == i - 1 else 0 for j in range(n))
-        forced_in[pure].add(i)
+        forced_in[pure_power(n, d, i)].add(i)
     return PartialAssignment(
         n,
         d,
@@ -215,16 +215,34 @@ def _serialize(div: RelDivision) -> bytes:
     ).encode("ascii")
 
 
+def _renamed_forms(div: RelDivision):
+    """_serialize(div.permuted(pi)) for every renaming pi, without building
+    the renamed divisions: on a full slice, pi only moves rows to the
+    positions of the renamed terms and renames the variables of each row."""
+    if not div.is_full_slice:
+        raise ValueError("canonical forms are defined on full-slice assignments")
+    row = {t: k for k, t in enumerate(div.support)}
+    for pi in permutations(range(1, div.n + 1)):
+        source = [0] * div.n  # source[j]: the variable renamed to x_{j+1}
+        for i, v in enumerate(pi):
+            source[v - 1] = i
+        labels: dict[VarSet, str] = {}
+        rows = [""] * len(div.support)
+        for t, m in div.mult.items():
+            if m not in labels:
+                labels[m] = ",".join(str(v) for v in sorted(pi[i - 1] for i in m))
+            rows[row[tuple(t[i] for i in source)]] = labels[m]
+        yield ";".join(rows).encode("ascii")
+
+
 def canonical_form(div: RelDivision) -> bytes:
     """Minimum over all variable renamings of the serialized assignment;
     constant on a renaming orbit, distinct across orbits."""
-    if not div.is_full_slice:
-        raise ValueError("canonical forms are defined on full-slice assignments")
-    return min(_serialize(div.permuted(pi)) for pi in permutations(range(1, div.n + 1)))
+    return min(_renamed_forms(div))
 
 
 def orbit_size(div: RelDivision) -> int:
-    return len({_serialize(div.permuted(pi)) for pi in permutations(range(1, div.n + 1))})
+    return len(set(_renamed_forms(div)))
 
 
 def enumerate_divisions(n: int, d: int, up_to_symmetry: bool = False):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .division import InvalidDivisionError, RelDivision
-from .terms import Term, deglex_key, format_term, term_lcm, var_names
+from .terms import Term, deglex_key, format_term, var_names
 
 Edge = tuple[Term, Term, int | None]
 
@@ -117,7 +117,7 @@ def reachability_equivalent(g1: LabeledDigraph, g2: LabeledDigraph) -> bool:
 def _require_valid(div: RelDivision, full_slice: bool) -> None:
     if full_slice and not div.is_full_slice:
         raise InvalidDivisionError("this construction needs a full-slice assignment")
-    if not div.validate().valid:
+    if not div.is_valid:
         raise InvalidDivisionError("this construction needs a valid assignment")
 
 
@@ -141,12 +141,10 @@ def redundant_graph(div: RelDivision) -> LabeledDigraph:
     """Unlabeled edge t -> s for every ordered pair whose lcm falls in the
     cone of t."""
     _require_valid(div, full_slice=False)
-    edges = set()
-    for t in div.support:
-        for s in div.support:
-            if s != t and div.x_of(s, t) == t:
-                edges.add((t, s, None))
-    return LabeledDigraph(div.n, div.support, frozenset(edges))
+    terms, table = div.support, div.pair_table
+    edges = frozenset((terms[t], terms[s], None)
+                      for t in range(len(terms)) for s in table.heads(t))
+    return LabeledDigraph(div.n, terms, edges)
 
 
 def generalized_graph(div: RelDivision) -> LabeledDigraph:
@@ -157,28 +155,20 @@ def generalized_graph(div: RelDivision) -> LabeledDigraph:
     not promised, only reachability equivalence.
     """
     _require_valid(div, full_slice=True)
-    succ: dict[Term, set[Term]] = {t: set() for t in div.support}
-
-    def reaches(a: Term, b: Term) -> bool:
-        todo, seen = [a], {a}
-        while todo:
-            for nxt in succ[todo.pop()]:
-                if nxt == b:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    todo.append(nxt)
-        return False
-
+    terms, table = div.support, div.pair_table
+    # reach[a]: bitmask of the rows reachable from row a along kept edges
+    reach = [0] * len(terms)
     edges = set()
-    for t in div.support:
-        for s in div.support:
-            if s == t or div.x_of(s, t) != t:
+    for t in range(len(terms)):
+        for s in table.heads(t):
+            if reach[t] >> s & 1:
                 continue
-            if not reaches(t, s):
-                succ[t].add(s)
-                edges.add((t, s, None))
-    return LabeledDigraph(div.n, div.support, frozenset(edges))
+            edges.add((terms[t], terms[s], None))
+            gained = 1 << s | reach[s]
+            for a, r in enumerate(reach):
+                if a == t or r >> t & 1:
+                    reach[a] = r | gained
+    return LabeledDigraph(div.n, terms, frozenset(edges))
 
 
 def graph_from_edge_list(n: int, nodes, edges) -> LabeledDigraph:

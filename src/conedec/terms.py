@@ -67,6 +67,31 @@ def support(t: Term) -> VarSet:
     return frozenset(i + 1 for i, e in enumerate(t) if e > 0)
 
 
+def pure_power(n: int, d: int, i: int) -> Term:
+    """x_i^d in n variables."""
+    return tuple(d if j == i - 1 else 0 for j in range(n))
+
+
+def varmask(m) -> int:
+    """Bitmask of a variable set: bit i-1 stands for x_i."""
+    return sum(1 << (i - 1) for i in m)
+
+
+def quotient_masks(terms) -> tuple[tuple[int, ...], ...]:
+    """Row i, column j: the varmask of the support of t_i / gcd(t_i, t_j), that
+    is, of the variables in which t_i has the larger exponent."""
+    rows = [[0] * len(terms) for _ in terms]
+    for k in range(len(terms[0]) if terms else 0):
+        bit = 1 << k
+        column = [t[k] for t in terms]
+        for row, a in zip(rows, column):
+            if a:
+                for j, c in enumerate(column):
+                    if a > c:
+                        row[j] |= bit
+    return tuple(map(tuple, rows))
+
+
 def min_var(t: Term) -> int:
     """Smallest variable index occurring in t; undefined for the constant term."""
     for i, e in enumerate(t):
@@ -173,7 +198,7 @@ def parse_term(text: str, n: int) -> Term:
     if s.startswith("["):
         exps = json.loads(s)
         if not (isinstance(exps, list) and len(exps) == n
-                and all(isinstance(e, int) and e >= 0 for e in exps)):
+                and all(type(e) is int and e >= 0 for e in exps)):
             raise ValueError(f"bad exponent array {text!r} for n={n}")
         return tuple(exps)
     if s == "1":
@@ -196,6 +221,8 @@ def parse_varset(items, n: int) -> VarSet:
     """Variable names (or 1-based indices) to a VarSet."""
     out = set()
     for item in items:
+        if isinstance(item, bool):
+            raise ValueError(f"{item!r} is not a variable")
         if isinstance(item, int):
             if not 1 <= item <= n:
                 raise ValueError(f"variable index {item} out of range for n={n}")

@@ -234,3 +234,24 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert out.returncode == 0
     assert json.loads(out.stdout) == {"expected": [3, 2, 1], "sum": 6}
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]",
+    '{"n": 3, "degree": "1", "multiplicative": {}}',
+    '{"n": 1, "degree": 1, "multiplicative": [["x"]]}',
+    '{"n": true, "degree": 1, "multiplicative": {"x": ["x"]}}',
+    '{"n": 1, "degree": true, "multiplicative": {"x": ["x"]}}',
+    '{"n": 1, "degree": 1,',
+    '{"n": 2, "degree": 1, "variables": ["y", "x"], "multiplicative": {"x": ["x"], "y": ["x", "y"]}}',
+    '{"n": 2, "degree": 1, "variables": "xy", "multiplicative": {"x": ["x"], "y": ["x", "y"]}}',
+    '{"n": 2, "degree": 1, "multiplicative": {"[true, 0]": ["x"], "y": ["x", "y"]}}',
+    '{"n": 2, "degree": 1, "multiplicative": {"x": [true], "y": ["x", "y"]}}',
+], ids=["array", "degree-string", "mult-list", "n-bool", "degree-bool", "syntax",
+        "permuted-variables", "variables-string", "exponent-bool", "index-bool"])
+def test_malformed_division_file_is_usage_error(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

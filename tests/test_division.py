@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from conedec import (
     NoInvolutiveDivisorError,
     InvalidDivisionError,
     RelDivision,
+    detect_pommaret,
     enumerate_terms,
     parse_term,
     pommaret_on_slice,
@@ -174,3 +178,29 @@ def test_permuted_swap(pommaret32):
     assert swapped.multiplicative_set(term("z^2")) == frozenset({3})
     assert swapped.multiplicative_set(term("x^2")) == frozenset({1, 2, 3})
     assert swapped.permuted((3, 2, 1)) == pommaret32
+
+
+def test_mult_is_read_only(pommaret32):
+    t = term("x^2")
+    assert pommaret32.is_valid and pommaret32.involutive_divisor(t) == t
+    with pytest.raises(TypeError):
+        pommaret32.mult[t] = frozenset({1, 2, 3})
+    with pytest.raises(TypeError):
+        del pommaret32.mult[t]
+    with pytest.raises(AttributeError):
+        pommaret32.mult = {}
+    rows = dict(pommaret32.mult)
+    assert rows[t] == frozenset({1})
+    assert pommaret32 == pommaret_on_slice(3, 2) == RelDivision.on_slice(3, 2, rows)
+    assert RelDivision.from_json(pommaret32.to_json()) == pommaret32
+    assert pommaret32.permuted((3, 2, 1)).permuted((3, 2, 1)) == pommaret32
+    assert detect_pommaret(pommaret32) == (1, 2, 3)
+    assert pickle.loads(pickle.dumps(pommaret32)) == copy.deepcopy(pommaret32) == pommaret32
+
+
+def test_division_copies_the_callers_mapping():
+    rows = {(1, 0): frozenset({1}), (0, 1): frozenset({1, 2})}
+    div = RelDivision.on_slice(2, 1, rows)
+    rows[(1, 0)] = frozenset({1, 2})
+    assert div.mult[(1, 0)] == frozenset({1})
+    assert div.is_valid

@@ -1,0 +1,168 @@
+"""Differential tests: the pair-table fast paths against the rules they replace.
+
+Each reference below is the literal pairwise or fixpoint rule, written with
+the term kernels and RelDivision.x_of, and is compared with the library on
+random relabellings of valid divisions and on single-row mutations of them.
+"""
+
+from __future__ import annotations
+
+from itertools import permutations, product
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conedec import (
+    RelDivision,
+    brute_compliant,
+    canonical_form,
+    compliant_closure,
+    enumerate_divisions,
+    enumerate_terms,
+    janet_general,
+    orbit_size,
+    pommaret_on_slice,
+    redundant_graph,
+    revenant_closure,
+    support,
+    term_div,
+    term_divides,
+    term_gcd,
+    term_lcm,
+    verify_order_ideal,
+)
+from conedec.enumeration import _serialize
+
+SETTINGS = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@pytest.fixture(scope="module")
+def bases():
+    return [*enumerate_divisions(3, 2), *enumerate_divisions(3, 3),
+            pommaret_on_slice(4, 2), pommaret_on_slice(4, 3)]
+
+
+def relabelled(data, bases) -> RelDivision:
+    div = data.draw(st.sampled_from(bases))
+    pi = data.draw(st.permutations(range(1, div.n + 1)))
+    return div.permuted(tuple(pi))
+
+
+def mutated(data, div: RelDivision) -> RelDivision:
+    """div with the multiplicative set of one row replaced at random."""
+    rows = dict(div.mult)
+    rows[data.draw(st.sampled_from(div.support))] = data.draw(
+        st.frozensets(st.integers(1, div.n)))
+    return RelDivision(div.n, div.degree, div.support, rows)
+
+
+# -- the old rules ----------------------------------------------------------
+
+def overlaps_by_gcd(div):
+    out = []
+    for i, u in enumerate(div.support):
+        for v in div.support[i + 1:]:
+            w = term_gcd(u, v)
+            if (support(term_div(v, w)) <= div.mult[u]
+                    and support(term_div(u, w)) <= div.mult[v]):
+                out.append({"kind": "overlap", "u": u, "v": v, "witness": term_lcm(u, v)})
+    return out
+
+
+def revenant_by_x_of(div, seed):
+    members = set(seed)
+    changed = True
+    while changed:
+        changed = False
+        for s in div.support:
+            if s not in members and any(div.x_of(t, s) == t for t in members):
+                members.add(s)
+                changed = True
+    return members
+
+
+def order_ideal_by_all_divisors(div, members, margin):
+    def covered(w):
+        return any(div.cone_contains(m, w) for m in members)
+
+    d0 = div.degree
+    for d in range(d0, d0 + margin + 1):
+        for w in enumerate_terms(div.n, d):
+            if covered(w):
+                for s in product(*(range(e + 1) for e in w)):
+                    if sum(s) >= d0 and not covered(s):
+                        return False
+    return True
+
+
+# -- properties -------------------------------------------------------------
+
+@SETTINGS
+@given(st.data())
+def test_validate_matches_gcd_rule(bases, data):
+    div = relabelled(data, bases)
+    if data.draw(st.booleans()):
+        div = mutated(data, div)
+    report = div.validate()
+    assert [v for v in report.violations if v["kind"] == "overlap"] == overlaps_by_gcd(div)
+    assert div.is_valid == report.valid
+
+
+@SETTINGS
+@given(st.data())
+def test_validate_matches_gcd_rule_on_general_supports(data):
+    terms = data.draw(st.sets(st.sampled_from(
+        [t for d in (1, 2, 3) for t in enumerate_terms(3, d)]), min_size=1, max_size=8))
+    div = janet_general(terms, 3)
+    if data.draw(st.booleans()):
+        div = mutated(data, div)
+    report = div.validate()
+    assert [v for v in report.violations if v["kind"] == "overlap"] == overlaps_by_gcd(div)
+
+
+@SETTINGS
+@given(st.data())
+def test_redundant_graph_matches_x_of(bases, data):
+    div = relabelled(data, bases)
+    want = {(t, s) for t in div.support for s in div.support
+            if s != t and div.x_of(s, t) == t}
+    assert redundant_graph(div).edge_pairs() == want
+
+
+@SETTINGS
+@given(st.data())
+def test_closures_match_fixpoints(bases, data):
+    div = relabelled(data, bases)
+    seed = data.draw(st.sets(st.sampled_from(div.support), max_size=3))
+    assert set(compliant_closure(div, seed).closure) == brute_compliant(div, seed)
+    assert set(revenant_closure(div, seed).closure) == revenant_by_x_of(div, seed)
+
+
+@SETTINGS
+@given(st.data())
+def test_order_ideal_matches_all_divisor_walk(bases, data):
+    div = relabelled(data, bases)
+    members = data.draw(st.sets(st.sampled_from(div.support), min_size=1, max_size=3))
+    if data.draw(st.booleans()):
+        members = revenant_closure(div, members).closure
+    margin = data.draw(st.integers(0, 2))
+    ok, bad = verify_order_ideal(div, members, margin)
+    assert ok == order_ideal_by_all_divisors(div, members, margin)
+    if not ok:
+        w, s = bad
+        assert term_divides(s, w)
+        assert any(div.cone_contains(m, w) for m in members)
+        assert not any(div.cone_contains(m, s) for m in members)
+
+
+@SETTINGS
+@given(st.data())
+def test_canonical_form_matches_renamed_divisions(bases, data):
+    div = relabelled(data, bases)
+    if data.draw(st.booleans()):
+        div = mutated(data, div)
+    forms = [_serialize(div.permuted(pi)) for pi in permutations(range(1, div.n + 1))]
+    assert canonical_form(div) == min(forms)
+    assert orbit_size(div) == len(set(forms))
