@@ -36,7 +36,6 @@ from .enumeration import (
     canonical_form,
     enumerate_divisions,
     orbit_size,
-    propagate,
     seed_constraints,
 )
 from .graphs import (

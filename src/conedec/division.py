@@ -30,9 +30,6 @@ from .terms import (
     pure_power,
     quotient_masks,
     sigma_expected,
-    support,
-    term_div,
-    term_divides,
     term_lcm,
     var_names,
     varmask,
@@ -126,7 +123,6 @@ class RelDivision:
     degree: int | None
     support: tuple[Term, ...]
     mult: Mapping[Term, VarSet]
-    _cover_cache: dict = field(default_factory=dict, compare=False, repr=False)
     _valid: bool | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -188,25 +184,22 @@ class RelDivision:
         return frozenset(range(1, self.n + 1)) - self.mult[t]
 
     def cone_contains(self, vertex: Term, w: Term) -> bool:
-        """w lies in the cone of vertex: vertex | w and w/vertex uses only
-        multiplicative variables of vertex."""
+        """w lies in the cone of vertex: at every variable the exponents of
+        vertex and w agree, or w has the larger one at a multiplicative
+        variable of vertex."""
         self._require(vertex)
-        if not term_divides(vertex, w):
-            return False
-        return support(term_div(w, vertex)) <= self.mult[vertex]
+        if len(w) != self.n:
+            raise ValueError(f"term {w} does not have {self.n} variables")
+        m = self.mult[vertex]
+        for i, (a, b) in enumerate(zip(vertex, w), 1):
+            if a != b and (a > b or i not in m):
+                return False
+        return True
 
     def involutive_divisor(self, w: Term) -> Term | None:
         """Deg-lex-first support term whose cone contains w; None when no cone does.
         Unique on a valid full-slice assignment whenever deg(w) >= degree."""
-        if w in self._cover_cache:
-            return self._cover_cache[w]
-        found = None
-        for u in self.support:
-            if self.cone_contains(u, w):
-                found = u
-                break
-        self._cover_cache[w] = found
-        return found
+        return next((u for u in self.support if self.cone_contains(u, w)), None)
 
     def x_of(self, s: Term, t: Term) -> Term:
         """The support term whose cone contains lcm(s, t)."""

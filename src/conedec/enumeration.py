@@ -205,10 +205,6 @@ def seed_constraints(n: int, d: int) -> PartialAssignment:
     )
 
 
-def propagate(pa: PartialAssignment, t: Term, m: VarSet) -> PartialAssignment:
-    return pa.assign(t, m)
-
-
 def _serialize(div: RelDivision) -> bytes:
     return ";".join(
         ",".join(str(v) for v in sorted(div.mult[t])) for t in div.support
@@ -259,12 +255,10 @@ def enumerate_divisions(n: int, d: int, up_to_symmetry: bool = False):
             div = RelDivision.on_slice(n, d, dict(pa.assigned))
             yield div
             return
-        best, best_count = None, -1
-        for t in todo:
-            c = len(pa.candidates(t))
-            if c > best_count:
-                best, best_count = t, c
-        for m in pa.candidates(best):
+        # max keeps the first term with the most candidates: the stream's tie-break
+        best, options = max(((t, pa.candidates(t)) for t in todo),
+                            key=lambda pair: len(pair[1]))
+        for m in options:
             try:
                 nxt = pa.assign(best, m)
             except ConflictError:

@@ -123,18 +123,21 @@ def _require_valid(div: RelDivision, full_slice: bool) -> None:
 
 def ufnarovsky_graph(div: RelDivision) -> LabeledDigraph:
     """Edge t ->x_j s when multiplying s by its non-multiplicative x_j lands
-    in the cone of t."""
+    in the cone of t.
+
+    These are the edges t -> s of the redundant graph between neighbours
+    t = s*x_j/x_k: there lcm(s, t) = s*x_j lies in the cone of t, and on a
+    valid assignment x_j is then non-multiplicative for s."""
     _require_valid(div, full_slice=True)
+    terms, table = div.support, div.pair_table
     edges = set()
-    for s in div.support:
-        for j in sorted(div.nonmultiplicative_set(s)):
-            w = tuple(e + (1 if i == j - 1 else 0) for i, e in enumerate(s))
-            t = div.involutive_divisor(w)
-            if t is None:
-                raise InvalidDivisionError(
-                    f"uncovered product {format_term(w, div.n)}")
-            edges.add((t, s, j))
-    return LabeledDigraph(div.n, div.support, frozenset(edges))
+    for t, u in enumerate(terms):
+        for s in table.heads(t):
+            q = table.quot[t][s]  # the variables where u exceeds terms[s]
+            j = q.bit_length()
+            if q == 1 << j - 1 and u[j - 1] == terms[s][j - 1] + 1:
+                edges.add((u, terms[s], j))
+    return LabeledDigraph(div.n, terms, frozenset(edges))
 
 
 def redundant_graph(div: RelDivision) -> LabeledDigraph:

@@ -89,13 +89,11 @@ def brute_compliant(div: RelDivision, seed) -> frozenset[Term]:
     for t in members:
         if t not in div.mult:
             raise LookupError(f"seed term {t} not in the support")
-    changed = True
-    while changed:
-        changed = False
-        for t in sorted(members, key=deglex_key):
-            for s in div.support:
-                v = div.x_of(s, t)
-                if v not in members:
-                    members.add(v)
-                    changed = True
+    todo = sorted(members, key=deglex_key)
+    for t in todo:  # grows while it is walked
+        for s in div.support:
+            v = div.x_of(s, t)
+            if v not in members:
+                members.add(v)
+                todo.append(v)
     return frozenset(members)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -99,6 +100,13 @@ def test_enumerate_full_stream(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert json.loads(lines[-1]) == {"count": 3}
     assert len(lines) == 4
+
+
+def test_enumerate_33_stream_is_unchanged(capsys):
+    assert main(["enumerate", "3", "3"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0fc1dc97b3bd05455f5a5f848a0df7c0d57f5fcb526207eb5d22858d8dd5edfb")
 
 
 def test_graph_dot(capsys, p32_file):

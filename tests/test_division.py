@@ -44,6 +44,8 @@ def test_cone_contains(pommaret32):
     assert not pommaret32.cone_contains(term("x*y"), term("x*y*z"))
     with pytest.raises(LookupError):
         pommaret32.cone_contains(term("x^3"), term("x^3"))
+    with pytest.raises(ValueError):
+        pommaret32.cone_contains(term("x*y"), (1, 1))
 
 
 def test_vertex_in_own_cone(pommaret32):
@@ -196,6 +198,19 @@ def test_mult_is_read_only(pommaret32):
     assert pommaret32.permuted((3, 2, 1)).permuted((3, 2, 1)) == pommaret32
     assert detect_pommaret(pommaret32) == (1, 2, 3)
     assert pickle.loads(pickle.dumps(pommaret32)) == copy.deepcopy(pommaret32) == pommaret32
+
+
+def test_constructor_takes_no_cache_argument(pommaret32):
+    with pytest.raises(TypeError):
+        RelDivision(3, 2, pommaret32.support, dict(pommaret32.mult), {})
+
+
+def test_involutive_divisor_leaves_the_instance_unchanged(pommaret32):
+    before = repr(vars(pommaret32))
+    for d in (2, 3):
+        for w in enumerate_terms(3, d):
+            pommaret32.involutive_divisor(w)
+    assert repr(vars(pommaret32)) == before
 
 
 def test_division_copies_the_callers_mapping():

@@ -14,7 +14,6 @@ from conedec import (
     enumerate_terms,
     orbit_size,
     pommaret_on_slice,
-    propagate,
     seed_constraints,
     sigma_expected,
 )
@@ -141,7 +140,7 @@ def test_seed_constraints_pin_pure_powers():
 
 def test_propagation_after_peak_choice():
     pa = seed_constraints(3, 2)
-    pa = propagate(pa, term("x*y"), frozenset({1, 2, 3}))
+    pa = pa.assign(term("x*y"), frozenset({1, 2, 3}))
     assert pa.forced_out[term("x^2")] == {2}
     assert pa.forced_out[term("y^2")] == {1}
     assert pa.forced_out[term("x*z")] == {2}
@@ -152,40 +151,40 @@ def test_propagation_after_peak_choice():
 
 def test_propagation_worked_sequence_settles_last_term():
     pa = seed_constraints(3, 2)
-    pa = propagate(pa, term("x*y"), frozenset({1, 2, 3}))
-    pa = propagate(pa, term("x*z"), frozenset({1, 3}))
+    pa = pa.assign(term("x*y"), frozenset({1, 2, 3}))
+    pa = pa.assign(term("x*z"), frozenset({1, 3}))
     assert pa.forced_out[term("x^2")] == {2, 3}
     assert pa.forced_out[term("z^2")] == {1}
-    pa = propagate(pa, term("z^2"), frozenset({2, 3}))
+    pa = pa.assign(term("z^2"), frozenset({2, 3}))
     assert pa.forced_out[term("y^2")] == {1, 3}
-    pa = propagate(pa, term("y^2"), frozenset({2}))
-    pa = propagate(pa, term("y*z"), frozenset({2}))
+    pa = pa.assign(term("y^2"), frozenset({2}))
+    pa = pa.assign(term("y*z"), frozenset({2}))
     assert pa.decided(term("x^2")) == frozenset({1})
 
 
 def test_propagate_conflicts():
     pa = seed_constraints(3, 2)
     with pytest.raises(ConflictError):
-        propagate(pa, term("x^2"), frozenset({2}))  # drops the forced variable
+        pa.assign(term("x^2"), frozenset({2}))  # drops the forced variable
     with pytest.raises(ConflictError):
-        propagate(pa, term("x^2"), frozenset())
-    pa2 = propagate(pa, term("x*y"), frozenset({1, 2, 3}))
+        pa.assign(term("x^2"), frozenset())
+    pa2 = pa.assign(term("x*y"), frozenset({1, 2, 3}))
     with pytest.raises(ConflictError):
-        propagate(pa2, term("z^2"), frozenset({1, 2, 3}))  # second peak
+        pa2.assign(term("z^2"), frozenset({1, 2, 3}))  # second peak
     with pytest.raises(ConflictError):
-        propagate(pa2, term("x*y"), frozenset({1}))  # already assigned
+        pa2.assign(term("x*y"), frozenset({1}))  # already assigned
 
 
 def test_propagate_budget_underflow():
     pa = seed_constraints(2, 2)  # profile allows two singletons and one pair
-    pa = propagate(pa, (1, 1), frozenset({1}))
-    pa = propagate(pa, (2, 0), frozenset({1}))
+    pa = pa.assign((1, 1), frozenset({1}))
+    pa = pa.assign((2, 0), frozenset({1}))
     with pytest.raises(ConflictError):
-        propagate(pa, (0, 2), frozenset({2}))  # both singleton slots already spent
+        pa.assign((0, 2), frozenset({2}))  # both singleton slots already spent
 
 
 def test_propagate_is_copy_on_branch():
     pa = seed_constraints(3, 2)
-    propagate(pa, term("x*y"), frozenset({1, 2, 3}))
+    pa.assign(term("x*y"), frozenset({1, 2, 3}))
     assert pa.assigned == {}
     assert pa.budget == [0, 3, 2, 1]

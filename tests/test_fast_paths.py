@@ -18,6 +18,7 @@ from conedec import (
     brute_compliant,
     canonical_form,
     compliant_closure,
+    deglex_key,
     enumerate_divisions,
     enumerate_terms,
     janet_general,
@@ -30,6 +31,7 @@ from conedec import (
     term_divides,
     term_gcd,
     term_lcm,
+    ufnarovsky_graph,
     verify_order_ideal,
 )
 from conedec.enumeration import _serialize
@@ -69,6 +71,36 @@ def overlaps_by_gcd(div):
                     and support(term_div(u, w)) <= div.mult[v]):
                 out.append({"kind": "overlap", "u": u, "v": v, "witness": term_lcm(u, v)})
     return out
+
+
+def cone_by_quotient(div, v, w):
+    return term_divides(v, w) and support(term_div(w, v)) <= div.mult[v]
+
+
+def ufnarovsky_by_owner_scan(div):
+    def owner(w):
+        return next(u for u in div.support if cone_by_quotient(div, u, w))
+
+    edges = set()
+    for s in div.support:
+        for j in set(range(1, div.n + 1)) - div.mult[s]:
+            w = tuple(e + 1 if i == j - 1 else e for i, e in enumerate(s))
+            edges.add((owner(w), s, j))
+    return edges
+
+
+def compliant_by_sweep(div, seed):
+    members = set(seed)
+    changed = True
+    while changed:
+        changed = False
+        for t in sorted(members, key=deglex_key):
+            for s in div.support:
+                v = div.x_of(s, t)
+                if v not in members:
+                    members.add(v)
+                    changed = True
+    return members
 
 
 def revenant_by_x_of(div, seed):
@@ -133,10 +165,30 @@ def test_redundant_graph_matches_x_of(bases, data):
 
 @SETTINGS
 @given(st.data())
+def test_ufnarovsky_graph_matches_owner_scan(bases, data):
+    div = relabelled(data, bases)
+    assert ufnarovsky_graph(div).edges == ufnarovsky_by_owner_scan(div)
+
+
+@SETTINGS
+@given(st.data())
+def test_cone_contains_matches_quotient_rule(bases, data):
+    div = relabelled(data, bases)
+    if data.draw(st.booleans()):
+        div = mutated(data, div)
+    for d in range(div.degree, div.degree + 3):
+        for w in enumerate_terms(div.n, d):
+            for v in div.support:
+                assert div.cone_contains(v, w) == cone_by_quotient(div, v, w)
+
+
+@SETTINGS
+@given(st.data())
 def test_closures_match_fixpoints(bases, data):
     div = relabelled(data, bases)
     seed = data.draw(st.sets(st.sampled_from(div.support), max_size=3))
-    assert set(compliant_closure(div, seed).closure) == brute_compliant(div, seed)
+    brute = brute_compliant(div, seed)
+    assert set(compliant_closure(div, seed).closure) == brute == compliant_by_sweep(div, seed)
     assert set(revenant_closure(div, seed).closure) == revenant_by_x_of(div, seed)
 
 
