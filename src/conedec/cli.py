@@ -14,7 +14,7 @@ import sys
 from . import builder as builder_mod
 from .classical import janet_on_slice, pommaret_on_slice
 from .closures import escalier_from_seed, ideal_from_seed
-from .division import DivisionError, RelDivision
+from .division import MAX_VARS, DivisionError, RelDivision
 from .enumeration import ConflictError, canonical_form, enumerate_divisions, orbit_size
 from .graphs import generalized_graph, redundant_graph, ufnarovsky_graph
 from .oracle import verify_division_covering
@@ -31,6 +31,35 @@ USAGE_ERROR = 2
 
 class UsageError(Exception):
     """Bad input from the user; reported with exit code 2."""
+
+
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type: an integer in lo..hi; anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < lo or (hi is not None and value > hi):
+            span = f"at least {lo}" if hi is None else f"in {lo}..{hi}"
+            raise argparse.ArgumentTypeError(f"{value} is not {span}")
+        return value
+
+    return parse
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """argparse type: comma-separated integers."""
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of integers") from None
+
+
+_VAR_COUNT = _int_in(1, MAX_VARS)
+_NON_NEGATIVE = _int_in(0)
 
 
 def _print_json(obj, compact: bool = False) -> None:
@@ -54,10 +83,10 @@ def _color_allowed() -> bool:
 
 def cmd_gen(args) -> int:
     if args.kind == "pommaret":
-        order = None
-        if args.order:
-            order = tuple(int(p) for p in args.order.split(","))
-        div = pommaret_on_slice(args.n, args.degree, order)
+        try:
+            div = pommaret_on_slice(args.n, args.degree, args.order)
+        except ValueError as exc:  # the order is not a permutation of 1..n
+            raise UsageError(f"--order: {exc}") from None
     else:
         if args.order:
             print("--order applies to pommaret only", file=sys.stderr)
@@ -108,7 +137,13 @@ def cmd_graph(args) -> int:
 
 def cmd_closure(args) -> int:
     div = _load_division(args.division)
-    seed = [parse_term(s, div.n) for s in args.seed]
+    try:
+        seed = [parse_term(s, div.n) for s in args.seed]
+    except ValueError as exc:
+        raise UsageError(f"bad seed term: {exc}") from None
+    for text, t in zip(args.seed, seed):
+        if t not in div.mult:
+            raise UsageError(f"seed term {text} is not in the support")
     run = ideal_from_seed if args.mode == "ideal" else escalier_from_seed
     result = run(div, seed, args.certify)
     payload = result.report.to_json_dict()
@@ -194,8 +229,8 @@ def cmd_build(args) -> int:
 
 
 def _add_slice_args(p) -> None:
-    p.add_argument("n", type=int, help="number of variables")
-    p.add_argument("degree", type=int, help="slice degree")
+    p.add_argument("n", type=_VAR_COUNT, help="number of variables")
+    p.add_argument("degree", type=_NON_NEGATIVE, help="slice degree")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,12 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="emit a classical assignment as JSON")
     p.add_argument("kind", choices=["pommaret", "janet"])
     _add_slice_args(p)
-    p.add_argument("--order", help="comma-separated variable indices, smallest first")
+    p.add_argument("--order", type=_int_list,
+                   help="comma-separated variable indices, smallest first")
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("validate", help="check a division JSON file")
     p.add_argument("division")
-    p.add_argument("--oracle", type=int, metavar="K",
+    p.add_argument("--oracle", type=_NON_NEGATIVE, metavar="K",
                    help="also brute-force coverage up to degree+K")
     p.set_defaults(fn=cmd_validate)
 
@@ -234,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("division")
     p.add_argument("seed", nargs="+", help="seed terms")
     p.add_argument("--mode", choices=["ideal", "escalier"], default="ideal")
-    p.add_argument("--certify", type=int, default=3, metavar="K",
+    p.add_argument("--certify", type=_NON_NEGATIVE, default=3, metavar="K",
                    help="brute-force margin (default 3)")
     p.set_defaults(fn=cmd_closure)
 
@@ -244,14 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser("sigma", help="expected size profile, optionally vs a division")
-    p.add_argument("n", type=int, nargs="?")
-    p.add_argument("degree", type=int, nargs="?")
+    p.add_argument("n", type=_VAR_COUNT, nargs="?")
+    p.add_argument("degree", type=_NON_NEGATIVE, nargs="?")
     p.add_argument("--division", help="division JSON to compare")
     p.set_defaults(fn=cmd_sigma)
 
     p = sub.add_parser("vandermonde", help="check the profile splitting identity")
     _add_slice_args(p)
-    p.add_argument("d_max", type=int, nargs="?", default=12)
+    p.add_argument("d_max", type=_NON_NEGATIVE, nargs="?", default=12)
     p.set_defaults(fn=cmd_vandermonde)
 
     return parser

@@ -35,6 +35,10 @@ from .terms import (
     varmask,
 )
 
+# Largest variable count a division file may declare: loading costs time and
+# memory linear in n even for terms that use few variables.
+MAX_VARS = 64
+
 
 class DivisionError(Exception):
     pass
@@ -330,8 +334,8 @@ class RelDivision:
             mult_raw = data["multiplicative"]
         except KeyError as exc:
             raise ValueError(f"division JSON misses key {exc}") from None
-        if type(n) is not int or n < 1:
-            raise ValueError(f"bad variable count {n!r}")
+        if type(n) is not int or not 1 <= n <= MAX_VARS:
+            raise ValueError(f"bad variable count {n!r} (must be 1..{MAX_VARS})")
         d = data.get("degree")
         if d is not None and not (type(d) is int and d >= 0):
             raise ValueError(f"bad degree {d!r}")

@@ -10,8 +10,9 @@ the valid assignments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations
+from math import factorial
 
 from .division import RelDivision
 from .terms import (
@@ -24,6 +25,7 @@ from .terms import (
     support,
     term_div,
     term_gcd,
+    varmask,
 )
 
 
@@ -238,34 +240,58 @@ def canonical_form(div: RelDivision) -> bytes:
 
 
 def orbit_size(div: RelDivision) -> int:
-    return len(set(_renamed_forms(div)))
+    """Number of distinct renamings of div: n! over the size of its
+    stabilizer, the renamings that leave its serialization unchanged."""
+    own = _serialize(div)
+    return factorial(div.n) // sum(form == own for form in _renamed_forms(div))
 
 
 def enumerate_divisions(n: int, d: int, up_to_symmetry: bool = False):
     """All valid assignments on the degree-d slice, as a deterministic stream.
 
+    The search runs in two phases over the same propagation.  The first
+    branches on the open term with the fewest candidates (fail-first) and
+    collects every leaf.  The second branches on the open term with the most
+    candidates, the rule that fixes the stream order, and tries only the
+    options some collected leaf agrees with, so it visits live nodes only and
+    yields the leaves in the same order as a single search by that rule.  The
+    first division therefore comes only after the first phase has finished.
+
     With up_to_symmetry, only the canonical representative of each variable-
     renaming orbit is produced (the one whose own serialization attains the
     orbit minimum).
     """
+    seed = seed_constraints(n, d)
+    row = {t: k for k, t in enumerate(seed.support)}
 
-    def dfs(pa: PartialAssignment):
+    def dfs(pa: PartialAssignment, pick, leaves=None):
+        """Complete states below pa, branching on the term pick selects;
+        with leaves (row-mask tuples), only into options some leaf agrees with."""
         todo = pa.unassigned()
         if not todo:
-            div = RelDivision.on_slice(n, d, dict(pa.assigned))
-            yield div
+            yield pa
             return
-        # max keeps the first term with the most candidates: the stream's tie-break
-        best, options = max(((t, pa.candidates(t)) for t in todo),
-                            key=lambda pair: len(pair[1]))
+        # min and max keep the first term of extreme candidate count: the tie-break
+        best, options = pick(((t, pa.candidates(t)) for t in todo),
+                             key=lambda pair: len(pair[1]))
+        k = row[best]
         for m in options:
+            live = None
+            if leaves is not None:
+                mask = varmask(m)
+                live = [leaf for leaf in leaves if leaf[k] == mask]
+                if not live:
+                    continue
             try:
                 nxt = pa.assign(best, m)
             except ConflictError:
                 continue
-            yield from dfs(nxt)
+            yield from dfs(nxt, pick, live)
 
-    for div in dfs(seed_constraints(n, d)):
+    leaves = [tuple(varmask(pa.assigned[t]) for t in seed.support)
+              for pa in dfs(seed, min)]
+    for pa in dfs(seed, max, leaves):
+        div = RelDivision.on_slice(n, d, dict(pa.assigned))
         if up_to_symmetry and canonical_form(div) != _serialize(div):
             continue
         yield div

@@ -160,7 +160,7 @@ def test_closure_compound_seed_terms(capsys, tmp_path):
 
 
 def test_closure_foreign_seed(capsys, p32_file):
-    assert main(["closure", p32_file, "x^3"]) == 1
+    assert main(["closure", p32_file, "x^3"]) == 2
 
 
 def test_build_script(capsys, tmp_path):
@@ -255,11 +255,39 @@ def test_module_entry_point():
     '{"n": 2, "degree": 1, "variables": "xy", "multiplicative": {"x": ["x"], "y": ["x", "y"]}}',
     '{"n": 2, "degree": 1, "multiplicative": {"[true, 0]": ["x"], "y": ["x", "y"]}}',
     '{"n": 2, "degree": 1, "multiplicative": {"x": [true], "y": ["x", "y"]}}',
+    '{"n": 300000, "degree": 1, "multiplicative": {"x1": ["x1"]}}',
 ], ids=["array", "degree-string", "mult-list", "n-bool", "degree-bool", "syntax",
-        "permuted-variables", "variables-string", "exponent-bool", "index-bool"])
+        "permuted-variables", "variables-string", "exponent-bool", "index-bool",
+        "n-over-cap"])
 def test_malformed_division_file_is_usage_error(capsys, tmp_path, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
     assert main(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "0", "2"],
+    ["enumerate", "65", "1"],
+    ["enumerate", "2", "-1"],
+    ["sigma", "0", "3"],
+    ["gen", "pommaret", "3", "2", "--order", "a"],
+    ["gen", "pommaret", "3", "2", "--order", "1,1,2"],
+    ["closure", "P32", "q*y"],
+    ["validate", "P32", "--oracle", "-2"],
+    ["closure", "P32", "x*y", "--certify", "-1"],
+    ["vandermonde", "3", "2", "-1"],
+], ids=["enumerate-n0", "enumerate-n-over-cap", "enumerate-negative-degree", "sigma-n0",
+        "order-not-integers", "order-not-permutation", "seed-unparsable",
+        "oracle-negative", "certify-negative", "vandermonde-negative"])
+def test_bad_arguments_are_usage_errors(capsys, p32_file, argv):
+    argv = [p32_file if a == "P32" else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error: " in err.splitlines()[-1]

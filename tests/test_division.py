@@ -17,7 +17,7 @@ from conedec import (
     sigma_expected,
     term_lcm,
 )
-from conedec.division import make_division
+from conedec.division import MAX_VARS, make_division
 
 from conftest import term
 
@@ -173,6 +173,14 @@ def test_json_bad_input_rejected():
     with pytest.raises(ValueError):
         RelDivision.from_json(
             '{"n": 2, "degree": 1, "variables": ["u", "v"], "multiplicative": {"x": ["x"]}}')
+
+
+def test_json_variable_count_is_capped():
+    at_cap = pommaret_general([(1,) + (0,) * (MAX_VARS - 1)], MAX_VARS)
+    assert RelDivision.from_json(at_cap.to_json()) == at_cap
+    with pytest.raises(ValueError, match="variable count"):
+        RelDivision.from_json_dict(
+            {"n": MAX_VARS + 1, "degree": None, "multiplicative": {"x1": ["x1"]}})
 
 
 def test_permuted_swap(pommaret32):

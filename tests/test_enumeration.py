@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from conedec import (
     ConflictError,
+    PartialAssignment,
     RelDivision,
     canonical_form,
     enumerate_divisions,
@@ -17,7 +19,7 @@ from conedec import (
     seed_constraints,
     sigma_expected,
 )
-from conedec.enumeration import _serialize
+from conedec.enumeration import _renamed_forms, _serialize
 
 from conftest import orbit_divisions_32, term
 
@@ -49,6 +51,58 @@ def test_stream_matches_brute_force(n, d):
     got = {_serialize(div) for div in enumerate_divisions(n, d)}
     want = {_serialize(div) for div in brute_force_valid(n, d)}
     assert got == want
+
+
+def single_phase_stream(n, d):
+    """Reference: one depth-first search branching on the first open term
+    with the most candidates, every option in candidate order."""
+
+    def dfs(pa):
+        todo = pa.unassigned()
+        if not todo:
+            yield RelDivision.on_slice(n, d, dict(pa.assigned))
+            return
+        best, options = max(((t, pa.candidates(t)) for t in todo),
+                            key=lambda pair: len(pair[1]))
+        for m in options:
+            try:
+                nxt = pa.assign(best, m)
+            except ConflictError:
+                continue
+            yield from dfs(nxt)
+
+    return list(dfs(seed_constraints(n, d)))
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2), (4, 1), (5, 1)])
+def test_stream_matches_single_phase_search(n, d):
+    want = single_phase_stream(n, d)
+    assert [div.to_json() for div in enumerate_divisions(n, d)] == [
+        div.to_json() for div in want]
+    assert [div.to_json() for div in enumerate_divisions(n, d, up_to_symmetry=True)] == [
+        div.to_json() for div in want if canonical_form(div) == _serialize(div)]
+
+
+def test_no_conflict_after_the_first_division(monkeypatch):
+    counts = {"assign": 0, "conflicts": 0}
+    real_assign = PartialAssignment.assign
+
+    def counting_assign(self, t, m):
+        counts["assign"] += 1
+        try:
+            return real_assign(self, t, m)
+        except ConflictError:
+            counts["conflicts"] += 1
+            raise
+
+    monkeypatch.setattr(PartialAssignment, "assign", counting_assign)
+    stream = enumerate_divisions(3, 3)
+    next(stream)
+    at_first = dict(counts)
+    assert sum(1 for _ in stream) == 351
+    assert at_first["conflicts"] > 0  # the wrapper sees the fail-first phase
+    assert counts["conflicts"] == at_first["conflicts"]
+    assert counts["assign"] > at_first["assign"]
 
 
 def test_stream_is_deterministic():
@@ -100,6 +154,16 @@ def test_orbit_sizes_partition_the_stream():
     reps = list(enumerate_divisions(3, 2, up_to_symmetry=True))
     total = list(enumerate_divisions(3, 2))
     assert sum(orbit_size(d) for d in reps) == len(total) == 42
+
+
+@pytest.mark.parametrize("n,d,orbits", [(3, 2, 8), (3, 3, 60)])
+def test_burnside_count_of_orbits(n, d, orbits):
+    assert sum(Fraction(1, orbit_size(div)) for div in enumerate_divisions(n, d)) == orbits
+
+
+def test_orbit_size_counts_distinct_renamings():
+    for div in enumerate_divisions(3, 2):
+        assert orbit_size(div) == len(set(_renamed_forms(div)))
 
 
 def test_representatives_attain_their_canonical_form():
