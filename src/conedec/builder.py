@@ -106,6 +106,10 @@ class BuildSession:
 
 def parse_script(text: str, n: int) -> list[tuple[Term, VarSet]]:
     """One choice per line, 'term = vars'; blank lines and # comments skipped."""
+    return [(t, m) for _, t, m in _numbered_choices(text, n)]
+
+
+def _numbered_choices(text: str, n: int) -> list[tuple[int, Term, VarSet]]:
     choices = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -119,13 +123,16 @@ def parse_script(text: str, n: int) -> list[tuple[Term, VarSet]]:
             m = parse_varset([v for v in right.replace(",", " ").split() if v], n)
         except ValueError as exc:
             raise ScriptError(f"line {lineno}: {exc}") from None
-        choices.append((t, m))
+        choices.append((lineno, t, m))
     return choices
 
 
 def run_script(n: int, d: int, text: str) -> BuildSession:
     """Replay a script; raises ConflictError/ScriptError on the first bad line."""
     session = BuildSession(n, d)
-    for t, m in parse_script(text, n):
-        session.assign(t, m)
+    for lineno, t, m in _numbered_choices(text, n):
+        try:
+            session.assign(t, m)
+        except LookupError as exc:  # a term outside the slice
+            raise ScriptError(f"line {lineno}: {exc}") from None
     return session

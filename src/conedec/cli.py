@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from math import comb
 
 from . import builder as builder_mod
 from .classical import janet_on_slice, pommaret_on_slice
@@ -27,6 +28,14 @@ from .terms import (
 )
 
 USAGE_ERROR = 2
+
+# Largest slice gen, build and enumerate accept, in terms (gen writes about
+# 50 bytes a term, and build propagates over every term at each choice).
+MAX_SLICE_TERMS = 10_000
+# Largest enumerate search, in terms × 2^(n-1): a term with one required
+# variable has 2^(n-1) candidate sets, listed at every search node.  The
+# largest slices enumerated to completion, (4,2), (3,4) and (5,1), are 60-80.
+MAX_SEARCH_WIDTH = 4_096
 
 
 class UsageError(Exception):
@@ -69,12 +78,34 @@ def _print_json(obj, compact: bool = False) -> None:
         print(json.dumps(obj, indent=2))
 
 
-def _load_division(path: str) -> RelDivision:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return RelDivision.from_json(fh.read())
-    except ValueError as exc:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _load_division(path: str) -> RelDivision:
+    text = _read_text(path)
+    try:
+        return RelDivision.from_json(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise UsageError(f"{path} is not a division file: {exc}") from None
+
+
+def _check_slice(n: int, d: int, search: bool = False) -> None:
+    """Reject a slice too large to list, or with search, to enumerate."""
+    terms = comb(n + d - 1, d)
+    if terms > MAX_SLICE_TERMS:
+        raise UsageError(
+            f"the ({n},{d}) slice has {terms} terms; at most {MAX_SLICE_TERMS} are accepted")
+    if search and terms << (n - 1) > MAX_SEARCH_WIDTH:
+        raise UsageError(
+            f"the ({n},{d}) slice is too wide to enumerate: {terms} terms × 2^{n - 1}"
+            f" candidate sets exceeds {MAX_SEARCH_WIDTH}")
 
 
 def _color_allowed() -> bool:
@@ -82,6 +113,7 @@ def _color_allowed() -> bool:
 
 
 def cmd_gen(args) -> int:
+    _check_slice(args.n, args.degree)
     if args.kind == "pommaret":
         try:
             div = pommaret_on_slice(args.n, args.degree, args.order)
@@ -106,6 +138,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    _check_slice(args.n, args.degree, search=True)
     count = 0
     sizes = []
     for div in enumerate_divisions(args.n, args.degree, args.orbits):
@@ -199,7 +232,7 @@ def _build_interactive(session: builder_mod.BuildSession) -> int:
             choices = builder_mod.parse_script(line, session.n)
             for t, m in choices:
                 session.assign(t, m)
-        except (builder_mod.ScriptError, ConflictError, ValueError) as exc:
+        except (builder_mod.ScriptError, ConflictError, LookupError, ValueError) as exc:
             print(f"rejected: {exc}", file=sys.stderr)
     print(session.render(color), file=sys.stderr)
     div = session.division()
@@ -208,10 +241,11 @@ def _build_interactive(session: builder_mod.BuildSession) -> int:
 
 
 def cmd_build(args) -> int:
+    _check_slice(args.n, args.degree)
     if args.script:
+        text = _read_text(args.script)
         try:
-            with open(args.script, "r", encoding="utf-8") as fh:
-                session = builder_mod.run_script(args.n, args.degree, fh.read())
+            session = builder_mod.run_script(args.n, args.degree, text)
         except (builder_mod.ScriptError, ConflictError) as exc:
             print(f"conflict: {exc}", file=sys.stderr)
             return 1
@@ -301,9 +335,6 @@ def main(argv=None) -> int:
         parser.error("sigma needs n and degree, or --division FILE")
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
-        print(f"cannot read {exc.filename}", file=sys.stderr)
-        return USAGE_ERROR
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -35,7 +35,14 @@ class ConflictError(Exception):
 
 @dataclass
 class PartialAssignment:
-    """Search state; assign() returns a new state (copy-on-branch)."""
+    """Search state; assign() returns a new state (copy-on-branch).
+
+    Two invariants keep propagation to one pass.  The required set of an open
+    term is fixed at seeding (empty, or {i} for the pure power x_i^D); its row
+    is replaced when the term is assigned, never changed in place.  And each
+    pair of terms is constrained when the first of the two is assigned: the
+    open one gets a forced-out variable or a group, which assign() checks
+    before accepting its set, so assigned terms are never revisited."""
 
     n: int
     d: int
@@ -51,7 +58,7 @@ class PartialAssignment:
             self.n,
             self.d,
             self.support,
-            {t: set(s) for t, s in self.forced_in.items()},
+            dict(self.forced_in),  # rows are replaced, never mutated
             {t: set(s) for t, s in self.forced_out.items()},
             {t: list(gs) for t, gs in self.groups.items()},
             dict(self.assigned),
@@ -69,22 +76,21 @@ class PartialAssignment:
 
     def candidates(self, t: Term) -> list[VarSet]:
         """Possible multiplicative sets for t under the current constraints,
-        largest first, lexicographic on ties."""
+        largest first, lexicographic on ties (combinations of the sorted free
+        variables added to a fixed base come out in that order)."""
         if t in self.assigned:
             return [self.assigned[t]]
         base = frozenset(self.forced_in[t])
         free = sorted(set(range(1, self.n + 1)) - base - self.forced_out[t])
         out = []
-        for extra in range(len(free) + 1):
+        for extra in range(len(free), -1, -1):
             size = len(base) + extra
-            if size < 1 or size > self.n or self.budget[size] <= 0:
+            if size < 1 or self.budget[size] <= 0:
                 continue
             for combo in combinations(free, extra):
                 m = base | frozenset(combo)
-                if any(g <= m for g in self.groups[t]):
-                    continue
-                out.append(m)
-        out.sort(key=lambda m: (-len(m), sorted(m)))
+                if not any(g <= m for g in self.groups[t]):
+                    out.append(m)
         return out
 
     # -- constraint plumbing (mutating; used on fresh copies only) ---------
@@ -96,55 +102,18 @@ class PartialAssignment:
             raise ConflictError(
                 f"no admissible set size left for {format_term(t, self.n)}")
 
-    def _force_out(self, t: Term, v: int) -> None:
-        if v in self.forced_in[t]:
-            raise ConflictError(
-                f"variable {v} both required and forbidden for {format_term(t, self.n)}")
-        if v not in self.forced_out[t]:
-            self.forced_out[t].add(v)
-
     def _not_superset(self, t: Term, a: VarSet) -> None:
-        """Record that M(t) must not contain all of a."""
-        if t in self.assigned:
-            if a <= self.assigned[t]:
-                raise ConflictError(
-                    f"cones of assigned terms meet at {format_term(t, self.n)}")
-            return
+        """Record that M(t) must not contain all of a, for an open term t.
+        The residue a - forced_in[t] is never empty (forced_in[t] is empty,
+        or {i} for t = x_i^D, and then a holds a variable other than i) and
+        never shrinks, so every group keeps at least two free variables."""
         if a & self.forced_out[t]:
             return
         residue = a - self.forced_in[t]
-        if not residue:
-            raise ConflictError(
-                f"forced variables of {format_term(t, self.n)} already cover {sorted(a)}")
         if len(residue) == 1:
-            self._force_out(t, next(iter(residue)))
+            self.forced_out[t] |= residue
         elif a not in self.groups[t]:
             self.groups[t].append(a)
-
-    def _normalize(self) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for t in self.support:
-                if t in self.assigned:
-                    continue
-                kept = []
-                for g in self.groups[t]:
-                    if g & self.forced_out[t]:
-                        changed = True
-                        continue
-                    residue = g - self.forced_in[t]
-                    if not residue:
-                        raise ConflictError(
-                            f"forced variables of {format_term(t, self.n)} "
-                            f"already cover {sorted(g)}")
-                    if len(residue) == 1:
-                        self._force_out(t, next(iter(residue)))
-                        changed = True
-                        continue
-                    kept.append(g)
-                self.groups[t] = kept
-                self._feasible(t)
 
     def assign(self, t: Term, m: VarSet) -> "PartialAssignment":
         """New state with M(t) = m; raises ConflictError when impossible."""
@@ -155,36 +124,35 @@ class PartialAssignment:
             raise ConflictError(f"{format_term(t, self.n)} is already assigned")
         if not m or not m <= set(range(1, self.n + 1)):
             raise ConflictError(f"inadmissible multiplicative set {sorted(m)}")
-        nxt = self.copy()
-        if not set(nxt.forced_in[t]) <= m:
+        if not self.forced_in[t] <= m:
             raise ConflictError(
-                f"{format_term(t, self.n)} must keep {sorted(set(nxt.forced_in[t]) - m)}")
-        if m & nxt.forced_out[t]:
+                f"{format_term(t, self.n)} must keep {sorted(self.forced_in[t] - m)}")
+        if m & self.forced_out[t]:
             raise ConflictError(
-                f"{format_term(t, self.n)} must avoid {sorted(m & nxt.forced_out[t])}")
-        for g in nxt.groups[t]:
+                f"{format_term(t, self.n)} must avoid {sorted(m & self.forced_out[t])}")
+        for g in self.groups[t]:
             if g <= m:
                 raise ConflictError(
                     f"{format_term(t, self.n)} may not take all of {sorted(g)}")
-        if nxt.budget[len(m)] <= 0:
+        if self.budget[len(m)] <= 0:
             raise ConflictError(f"no size-{len(m)} set left in the profile budget")
+        nxt = self.copy()
         nxt.budget[len(m)] -= 1
         nxt.assigned[t] = m
         nxt.forced_in[t] = set(m)
         nxt.forced_out[t] = set(range(1, nxt.n + 1)) - m
         nxt.groups[t] = []
-        # pairwise disjointness: once M(t) is final, any u whose quotient
+        # pairwise disjointness: once M(t) is final, any open u whose quotient
         # variables towards t are all multiplicative for t must miss one of
         # t's quotient variables towards u
-        for u in nxt.support:
-            if u == t:
-                continue
+        todo = nxt.unassigned()
+        for u in todo:
             w = term_gcd(t, u)
-            a = support(term_div(t, w))
-            b = support(term_div(u, w))
-            if b <= m:
-                nxt._not_superset(u, a)
-        nxt._normalize()
+            if support(term_div(u, w)) <= m:
+                nxt._not_superset(u, support(term_div(t, w)))
+        for u in todo:
+            nxt.groups[u] = [g for g in nxt.groups[u] if not g & nxt.forced_out[u]]
+            nxt._feasible(u)
         return nxt
 
 

@@ -1,8 +1,20 @@
 from __future__ import annotations
 
-import pytest
+from itertools import combinations
 
-from conedec import BuildSession, ConflictError, ScriptError, parse_script, run_script
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from conedec import (
+    BuildSession,
+    ConflictError,
+    RelDivision,
+    ScriptError,
+    parse_script,
+    run_script,
+    verify_division_covering,
+)
 from conedec.builder import CELL_FREE, CELL_GROUP, CELL_IN, CELL_OUT
 from conedec.division import make_division
 
@@ -108,6 +120,11 @@ def test_parse_script_errors():
     assert parse_script("# nothing\n\n", 3) == []
 
 
+def test_script_term_outside_the_slice_names_its_line():
+    with pytest.raises(ScriptError, match="line 3: term x\\^3 not in the support"):
+        run_script(3, 2, "x*y = x,y,z\n\nx^3 = x\n")
+
+
 def test_script_replay_matches_interactive_steps():
     script_session = run_script(3, 2, FIVE_CHOICES)
     manual = BuildSession(3, 2)
@@ -120,3 +137,34 @@ def test_one_variable_session_autofills_immediately():
     s = BuildSession(1, 3)
     assert s.complete
     assert s.division().mult == {(3,): frozenset({1})}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, 3), (3, 2), (3, 3)]), st.randoms(use_true_random=False), st.data())
+def test_completed_walks_are_valid_and_mutations_are_not(slice_, rng, data):
+    """A random session that completes gives a division that validate() and
+    the covering oracle both accept; changing one row makes both reject it."""
+    n, d = slice_
+    session = BuildSession(n, d)
+    while not session.complete:
+        t = rng.choice(session.state.unassigned())
+        options = session.state.candidates(t)
+        rng.shuffle(options)
+        for m in options:
+            try:
+                session.assign(t, m)
+                break
+            except ConflictError:
+                continue
+        else:
+            break
+    assume(session.complete)
+    div = session.division()
+    assert div.validate().valid
+    assert verify_division_covering(div, 2).valid
+    t = data.draw(st.sampled_from(div.support))
+    subsets = [frozenset(c) for k in range(1, n + 1) for c in combinations(range(1, n + 1), k)]
+    m = data.draw(st.sampled_from([s for s in subsets if s != div.mult[t]]))
+    mutant = RelDivision.on_slice(n, d, {**div.mult, t: m})
+    assert not mutant.validate().valid
+    assert not verify_division_covering(mutant, 2).valid

@@ -187,6 +187,41 @@ def test_build_script_incomplete(capsys, tmp_path):
     assert "incomplete" in capsys.readouterr().err
 
 
+def test_build_script_term_outside_the_slice(capsys, tmp_path):
+    script = tmp_path / "s.txt"
+    script.write_text("x*y = x,y,z\nx^3 = x\n")
+    assert main(["build", "3", "2", "--script", str(script)]) == 1
+    assert "line 2: term x^3 not in the support" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe x*y = x\n"], ids=["directory", "not-utf8"])
+def test_unreadable_build_script_is_usage_error(capsys, tmp_path, content):
+    path = tmp_path  # content None: the path names a directory
+    if content is not None:
+        path = tmp_path / "s.txt"
+        path.write_bytes(content)
+    assert main(["build", "3", "2", "--script", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}") and err.count("\n") == 1
+
+
+def test_build_interactive_rejects_term_outside_the_slice(capsys, monkeypatch):
+    lines = iter(["x^3 = x", "x*y = x,y,z", "x*z = x,z", "z^2 = y,z", "y^2 = y", "y*z = y"])
+
+    def fake_input(prompt):
+        try:
+            return next(lines)
+        except StopIteration:
+            raise EOFError from None
+
+    monkeypatch.setattr(sys.stdin, "isatty", lambda: True)
+    monkeypatch.setattr("builtins.input", fake_input)
+    assert main(["build", "3", "2"]) == 0
+    captured = capsys.readouterr()
+    assert "rejected: term x^3 not in the support" in captured.err
+    assert RelDivision.from_json(captured.out).validate().valid
+
+
 def test_build_needs_tty_without_script(capsys, monkeypatch):
     monkeypatch.setattr(sys.stdin, "isatty", lambda: False)
     assert main(["build", "3", "2"]) == 2
@@ -256,12 +291,16 @@ def test_module_entry_point():
     '{"n": 2, "degree": 1, "multiplicative": {"[true, 0]": ["x"], "y": ["x", "y"]}}',
     '{"n": 2, "degree": 1, "multiplicative": {"x": [true], "y": ["x", "y"]}}',
     '{"n": 300000, "degree": 1, "multiplicative": {"x1": ["x1"]}}',
+    "[" * 100_000,
+    None,
 ], ids=["array", "degree-string", "mult-list", "n-bool", "degree-bool", "syntax",
         "permuted-variables", "variables-string", "exponent-bool", "index-bool",
-        "n-over-cap"])
+        "n-over-cap", "over-nested", "directory"])
 def test_malformed_division_file_is_usage_error(capsys, tmp_path, text):
-    path = tmp_path / "bad.json"
-    path.write_text(text)
+    path = tmp_path  # text None: the path names a directory
+    if text is not None:
+        path = tmp_path / "bad.json"
+        path.write_text(text)
     assert main(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -278,9 +317,15 @@ def test_malformed_division_file_is_usage_error(capsys, tmp_path, text):
     ["validate", "P32", "--oracle", "-2"],
     ["closure", "P32", "x*y", "--certify", "-1"],
     ["vandermonde", "3", "2", "-1"],
+    ["enumerate", "64", "1"],
+    ["enumerate", "3", "200"],
+    ["gen", "pommaret", "64", "20"],
+    ["build", "64", "20"],
 ], ids=["enumerate-n0", "enumerate-n-over-cap", "enumerate-negative-degree", "sigma-n0",
         "order-not-integers", "order-not-permutation", "seed-unparsable",
-        "oracle-negative", "certify-negative", "vandermonde-negative"])
+        "oracle-negative", "certify-negative", "vandermonde-negative",
+        "enumerate-too-wide", "enumerate-too-many-terms", "gen-too-many-terms",
+        "build-too-many-terms"])
 def test_bad_arguments_are_usage_errors(capsys, p32_file, argv):
     argv = [p32_file if a == "P32" else a for a in argv]
     try:

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conedec import (
@@ -20,6 +20,7 @@ from conedec import (
     sigma_expected,
 )
 from conedec.enumeration import _renamed_forms, _serialize
+from conedec.terms import format_term, support, term_div, term_gcd
 
 from conftest import orbit_divisions_32, term
 
@@ -252,3 +253,161 @@ def test_propagate_is_copy_on_branch():
     pa.assign(term("x*y"), frozenset({1, 2, 3}))
     assert pa.assigned == {}
     assert pa.budget == [0, 3, 2, 1]
+
+
+# -- differential check against the fixpoint propagation ---------------------
+#
+# The reference propagation visits every pair over the whole support (assigned
+# terms included), normalises to a fixpoint that re-examines residues, and
+# checks every conflict, the unreachable ones too.  PartialAssignment, which
+# keeps only the rules that can fire, must agree with it step for step.
+
+
+def reference_copy(pa):
+    return PartialAssignment(
+        pa.n, pa.d, pa.support,
+        {t: set(s) for t, s in pa.forced_in.items()},
+        {t: set(s) for t, s in pa.forced_out.items()},
+        {t: list(gs) for t, gs in pa.groups.items()},
+        dict(pa.assigned), list(pa.budget))
+
+
+def reference_candidates(pa, t):
+    if t in pa.assigned:
+        return [pa.assigned[t]]
+    base = frozenset(pa.forced_in[t])
+    free = sorted(set(range(1, pa.n + 1)) - base - pa.forced_out[t])
+    out = []
+    for extra in range(len(free) + 1):
+        size = len(base) + extra
+        if size < 1 or size > pa.n or pa.budget[size] <= 0:
+            continue
+        for combo in combinations(free, extra):
+            m = base | frozenset(combo)
+            if not any(g <= m for g in pa.groups[t]):
+                out.append(m)
+    out.sort(key=lambda m: (-len(m), sorted(m)))
+    return out
+
+
+def reference_assign(pa, t, m):
+    def name(u):
+        return format_term(u, pa.n)
+
+    def force_out(u, v):
+        if v in nxt.forced_in[u]:
+            raise ConflictError(f"variable {v} both required and forbidden for {name(u)}")
+        nxt.forced_out[u].add(v)
+
+    def not_superset(u, a):
+        if u in nxt.assigned:
+            if a <= nxt.assigned[u]:
+                raise ConflictError(f"cones of assigned terms meet at {name(u)}")
+            return
+        if a & nxt.forced_out[u]:
+            return
+        residue = a - nxt.forced_in[u]
+        if not residue:
+            raise ConflictError(f"forced variables of {name(u)} already cover {sorted(a)}")
+        if len(residue) == 1:
+            force_out(u, next(iter(residue)))
+        elif a not in nxt.groups[u]:
+            nxt.groups[u].append(a)
+
+    def normalize():
+        changed = True
+        while changed:
+            changed = False
+            for u in nxt.support:
+                if u in nxt.assigned:
+                    continue
+                kept = []
+                for g in nxt.groups[u]:
+                    if g & nxt.forced_out[u]:
+                        changed = True
+                        continue
+                    residue = g - nxt.forced_in[u]
+                    if not residue:
+                        raise ConflictError(
+                            f"forced variables of {name(u)} already cover {sorted(g)}")
+                    if len(residue) == 1:
+                        force_out(u, next(iter(residue)))
+                        changed = True
+                        continue
+                    kept.append(g)
+                nxt.groups[u] = kept
+                lo = max(1, len(nxt.forced_in[u]))
+                hi = nxt.n - len(nxt.forced_out[u])
+                if not any(nxt.budget[k] > 0 for k in range(lo, hi + 1)):
+                    raise ConflictError(f"no admissible set size left for {name(u)}")
+
+    if t not in pa.forced_in:
+        raise LookupError(f"term {name(t)} not in the support")
+    m = frozenset(m)
+    if t in pa.assigned:
+        raise ConflictError(f"{name(t)} is already assigned")
+    if not m or not m <= set(range(1, pa.n + 1)):
+        raise ConflictError(f"inadmissible multiplicative set {sorted(m)}")
+    nxt = reference_copy(pa)
+    if not nxt.forced_in[t] <= m:
+        raise ConflictError(f"{name(t)} must keep {sorted(nxt.forced_in[t] - m)}")
+    if m & nxt.forced_out[t]:
+        raise ConflictError(f"{name(t)} must avoid {sorted(m & nxt.forced_out[t])}")
+    for g in nxt.groups[t]:
+        if g <= m:
+            raise ConflictError(f"{name(t)} may not take all of {sorted(g)}")
+    if nxt.budget[len(m)] <= 0:
+        raise ConflictError(f"no size-{len(m)} set left in the profile budget")
+    nxt.budget[len(m)] -= 1
+    nxt.assigned[t] = m
+    nxt.forced_in[t] = set(m)
+    nxt.forced_out[t] = set(range(1, nxt.n + 1)) - m
+    nxt.groups[t] = []
+    for u in nxt.support:
+        if u == t:
+            continue
+        w = term_gcd(t, u)
+        if support(term_div(u, w)) <= m:
+            not_superset(u, support(term_div(t, w)))
+    normalize()
+    return nxt
+
+
+def state_of(pa):
+    return (pa.forced_in, pa.forced_out, pa.groups, pa.assigned, pa.budget)
+
+
+def outcome(assign, *args):
+    try:
+        return assign(*args), None
+    except ConflictError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([(3, 2), (3, 3), (4, 2), (5, 4)]), st.data())
+def test_propagation_matches_fixpoint_reference(slice_, data):
+    """Random choice sequences, mostly candidates of open terms, sometimes an
+    arbitrary set or an assigned term: both propagations keep equal states,
+    raise the same conflicts at the same steps and list the same candidates."""
+    n, d = slice_
+    new = old = seed_constraints(n, d)
+    for _ in range(len(new.support) + 8):
+        for u in new.support:
+            assert new.candidates(u) == reference_candidates(old, u)
+        todo = new.unassigned()
+        if not todo:
+            break
+        anywhere = data.draw(st.integers(0, 7)) == 0
+        t = data.draw(st.sampled_from(new.support if anywhere else todo))
+        options = new.candidates(t)
+        if options and data.draw(st.integers(0, 3)):
+            m = data.draw(st.sampled_from(options))
+        else:
+            m = data.draw(st.frozensets(st.integers(1, n), max_size=n))
+        got, got_error = outcome(new.assign, t, m)
+        want, want_error = outcome(reference_assign, old, t, m)
+        assert got_error == want_error
+        if got is not None:
+            assert state_of(got) == state_of(want)
+            new, old = got, want
