@@ -20,6 +20,18 @@ class ScriptError(Exception):
     pass
 
 
+def _settle(state: PartialAssignment) -> PartialAssignment:
+    """state completed with the forced sets when every open term has all its
+    variables forced, else state.  Filling a term in leaves the forced sets of
+    the others as they are, so one pass completes it or raises ConflictError."""
+    todo = state.unassigned()
+    if any(len(state.forced_in[t]) + len(state.forced_out[t]) < state.n for t in todo):
+        return state
+    for t in todo:
+        state = state.assign(t, frozenset(state.forced_in[t]))
+    return state
+
+
 CELL_IN = "in"
 CELL_OUT = "out"
 CELL_GROUP = "group"
@@ -34,28 +46,15 @@ class BuildSession:
     log: list[tuple[Term, VarSet]] = field(init=False, default_factory=list)
 
     def __post_init__(self):
-        self.state = seed_constraints(self.n, self.d)
-        self._autofill()
+        self.state = _settle(seed_constraints(self.n, self.d))
 
     # -- choices -----------------------------------------------------------
 
     def assign(self, t: Term, m: VarSet) -> None:
-        """Apply one choice; ConflictError leaves the session unchanged."""
-        nxt = self.state.assign(t, frozenset(m))
-        self.state = nxt
-        self.log.append((t, frozenset(m)))
-        self._autofill()
-
-    def _autofill(self) -> None:
-        while True:
-            todo = self.state.unassigned()
-            if not todo:
-                return
-            decided = {t: self.state.decided(t) for t in todo}
-            if any(m is None for m in decided.values()):
-                return
-            for t in todo:
-                self.state = self.state.assign(t, decided[t])
+        """Apply one choice and what it settles; ConflictError changes nothing."""
+        m = frozenset(m)
+        self.state = _settle(self.state.assign(t, m))
+        self.log.append((t, m))
 
     @property
     def complete(self) -> bool:
@@ -63,7 +62,7 @@ class BuildSession:
 
     def division(self) -> RelDivision:
         if not self.complete:
-            raise ConflictError("assignment is not complete yet")
+            raise ConflictError("the assignment is incomplete")
         return RelDivision.on_slice(self.n, self.d, dict(self.state.assigned))
 
     # -- rendering ---------------------------------------------------------
@@ -135,4 +134,6 @@ def run_script(n: int, d: int, text: str) -> BuildSession:
             session.assign(t, m)
         except LookupError as exc:  # a term outside the slice
             raise ScriptError(f"line {lineno}: {exc}") from None
+        except ConflictError as exc:
+            raise ConflictError(f"line {lineno}: {exc}") from None
     return session

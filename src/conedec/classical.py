@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .division import InvalidDivisionError, RelDivision
-from .terms import Term, degree, enumerate_terms, pure_power
+from .terms import Term, VarSet, degree, enumerate_terms, pure_power
 
 
 def _pommaret_mult(t: Term, n: int, order: tuple[int, ...]) -> frozenset[int]:
@@ -40,27 +40,27 @@ def pommaret_general(terms, n: int) -> RelDivision:
     return RelDivision.general(n, mult)
 
 
-def janet_general(terms, n: int) -> RelDivision:
-    """Janet's rule: x_j is multiplicative for t unless some other term agrees
-    with t on every exponent above j and carries a larger j-th exponent."""
+def _janet_mult(terms, n: int) -> dict[Term, VarSet]:
+    """Janet's rule: x_j is multiplicative for t exactly when no term that
+    agrees with t on every exponent above j has a larger j-th exponent."""
     ts = [tuple(t) for t in terms]
-    mult = {}
+    top: dict[tuple[int, Term], int] = {}  # (j, exponents above j) -> largest j-th
     for t in ts:
-        m = set()
         for j in range(1, n + 1):
-            beaten = any(
-                s[j:] == t[j:] and s[j - 1] > t[j - 1] for s in ts if s != t)
-            if not beaten:
-                m.add(j)
-        mult[t] = frozenset(m)
-    return RelDivision.general(n, mult)
+            top[j, t[j:]] = max(top.get((j, t[j:]), 0), t[j - 1])
+    return {t: frozenset(j for j in range(1, n + 1) if t[j - 1] == top[j, t[j:]])
+            for t in ts}
+
+
+def janet_general(terms, n: int) -> RelDivision:
+    """Janet's rule applied to an arbitrary finite term set."""
+    return RelDivision.general(n, _janet_mult(terms, n))
 
 
 def janet_on_slice(n: int, d: int) -> RelDivision:
     """Janet's rule on the full degree-d slice, tagged with the slice degree.
     Coincides with the triangular assignment there."""
-    g = janet_general(enumerate_terms(n, d), n)
-    return RelDivision.on_slice(n, d, dict(g.mult))
+    return RelDivision.on_slice(n, d, _janet_mult(enumerate_terms(n, d), n))
 
 
 def detect_pommaret(div: RelDivision) -> tuple[int, ...] | None:

@@ -15,7 +15,7 @@ from math import comb
 from . import builder as builder_mod
 from .classical import janet_on_slice, pommaret_on_slice
 from .closures import escalier_from_seed, ideal_from_seed
-from .division import MAX_VARS, DivisionError, RelDivision
+from .division import MAX_VARS, DivisionError, InvalidDivisionError, RelDivision
 from .enumeration import ConflictError, canonical_form, enumerate_divisions, orbit_size
 from .graphs import generalized_graph, redundant_graph, ufnarovsky_graph
 from .oracle import verify_division_covering
@@ -29,9 +29,9 @@ from .terms import (
 
 USAGE_ERROR = 2
 
-# Largest slice gen, build and enumerate accept, in terms (gen writes about
-# 50 bytes a term, and build propagates over every term at each choice).
-MAX_SLICE_TERMS = 10_000
+# Largest slice gen, build and enumerate accept, and largest division file, in
+# terms: validate holds N^2 pair facts, 80-200 MB at 2,000 terms (6-64 variables).
+MAX_SLICE_TERMS = 2_000
 # Largest enumerate search, in terms × 2^(n-1): a term with one required
 # variable has 2^(n-1) candidate sets, listed at every search node.  The
 # largest slices enumerated to completion, (4,2), (3,4) and (5,1), are 60-80.
@@ -91,9 +91,13 @@ def _read_text(path: str) -> str:
 def _load_division(path: str) -> RelDivision:
     text = _read_text(path)
     try:
-        return RelDivision.from_json(text)
+        div = RelDivision.from_json(text)
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise UsageError(f"{path} is not a division file: {exc}") from None
+    if len(div.support) > MAX_SLICE_TERMS:
+        raise UsageError(
+            f"{path} has {len(div.support)} terms; at most {MAX_SLICE_TERMS} are accepted")
+    return div
 
 
 def _check_slice(n: int, d: int, search: bool = False) -> None:
@@ -121,8 +125,7 @@ def cmd_gen(args) -> int:
             raise UsageError(f"--order: {exc}") from None
     else:
         if args.order:
-            print("--order applies to pommaret only", file=sys.stderr)
-            return USAGE_ERROR
+            raise UsageError("--order applies to pommaret only")
         div = janet_on_slice(args.n, args.degree)
     print(div.to_json())
     return 0
@@ -195,8 +198,7 @@ def cmd_sigma(args) -> int:
     if args.division:
         div = _load_division(args.division)
         if not div.is_full_slice:
-            print("profile comparison needs a full-slice division", file=sys.stderr)
-            return USAGE_ERROR
+            raise InvalidDivisionError("profile comparison needs a full-slice division")
         observed = list(div.sigma_profile())
         expected = list(sigma_expected(div.n, div.degree))
         _print_json({"profile": observed, "expected": expected,
@@ -213,53 +215,41 @@ def cmd_vandermonde(args) -> int:
     return 0 if ok else 1
 
 
-def _build_interactive(session: builder_mod.BuildSession) -> int:
-    color = _color_allowed()
-    names = var_names(session.n)
-    print(f"assigning T_{session.d} in variables {', '.join(names)};"
+def _build_interactive(n: int, d: int) -> builder_mod.BuildSession:
+    """Take choices until the session completes, or an empty line, end of
+    input or Ctrl-C stops it."""
+    session = builder_mod.BuildSession(n, d)
+    print(f"assigning T_{d} in variables {', '.join(var_names(n))};"
           " enter 'term = vars', empty line to stop", file=sys.stderr)
     while not session.complete:
-        print(session.render(color), file=sys.stderr)
+        print(session.render(_color_allowed()), file=sys.stderr)
         try:
             line = input("choice> ")
-        except EOFError:
-            print("input ended before completion", file=sys.stderr)
-            return 1
+        except (EOFError, KeyboardInterrupt):
+            print(file=sys.stderr)  # end the prompt line
+            break
         if not line.strip():
-            print("stopped before completion", file=sys.stderr)
-            return 1
+            break
         try:
-            choices = builder_mod.parse_script(line, session.n)
-            for t, m in choices:
+            for t, m in builder_mod.parse_script(line, n):
                 session.assign(t, m)
         except (builder_mod.ScriptError, ConflictError, LookupError, ValueError) as exc:
             print(f"rejected: {exc}", file=sys.stderr)
-    print(session.render(color), file=sys.stderr)
-    div = session.division()
-    print(div.to_json())
-    return 0 if div.validate().valid else 1
+    return session
 
 
 def cmd_build(args) -> int:
     _check_slice(args.n, args.degree)
     if args.script:
-        text = _read_text(args.script)
-        try:
-            session = builder_mod.run_script(args.n, args.degree, text)
-        except (builder_mod.ScriptError, ConflictError) as exc:
-            print(f"conflict: {exc}", file=sys.stderr)
-            return 1
-        if not session.complete:
-            print("script left the assignment incomplete", file=sys.stderr)
-            print(session.render(False), file=sys.stderr)
-            return 1
-        div = session.division()
-        print(div.to_json())
-        return 0 if div.validate().valid else 1
-    if not sys.stdin.isatty():
-        print("interactive build needs a terminal; use --script", file=sys.stderr)
-        return USAGE_ERROR
-    return _build_interactive(builder_mod.BuildSession(args.n, args.degree))
+        session = builder_mod.run_script(args.n, args.degree, _read_text(args.script))
+    elif sys.stdin.isatty():
+        session = _build_interactive(args.n, args.degree)
+    else:
+        raise UsageError("interactive build needs a terminal; use --script")
+    print(session.render(_color_allowed()), file=sys.stderr)
+    div = session.division()  # ConflictError while the assignment is incomplete
+    print(div.to_json())
+    return 0 if div.validate().valid else 1
 
 
 def _add_slice_args(p) -> None:
@@ -328,6 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; commands raise, and only here do exceptions become
+    exit codes (argparse exits 2 on a malformed command line by itself)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "sigma" and args.division is None and (
@@ -338,14 +330,24 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except (builder_mod.ScriptError, ConflictError) as exc:
+        print(f"conflict: {exc}", file=sys.stderr)
+        return 1
     except (DivisionError, LookupError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Process entry point; a closed stdout exits 1 without a traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # Python's SIGPIPE recipe: devnull takes the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -68,12 +68,6 @@ class PartialAssignment:
     def unassigned(self) -> list[Term]:
         return [t for t in self.support if t not in self.assigned]
 
-    def decided(self, t: Term) -> VarSet | None:
-        """The only possible set for t when every variable is forced, else None."""
-        if len(self.forced_in[t]) + len(self.forced_out[t]) == self.n:
-            return frozenset(self.forced_in[t])
-        return None
-
     def candidates(self, t: Term) -> list[VarSet]:
         """Possible multiplicative sets for t under the current constraints,
         largest first, lexicographic on ties (combinations of the sorted free

@@ -77,13 +77,43 @@ def test_autofill_only_when_everything_is_settled():
 
 
 def test_conflicting_choice_is_rejected_and_state_kept():
-    s = BuildSession(3, 2)
-    s.assign(term("x*y"), frozenset({1, 2, 3}))
-    before = s.state
-    with pytest.raises(ConflictError):
-        s.assign(term("z^2"), frozenset({1, 2, 3}))  # a second peak
-    assert s.state is before
-    assert len(s.log) == 1
+    for n, d, first, bad, rest in [
+        (3, 2, "x*y = x,y,z", "z^2 = x,y,z",  # a second peak
+         "x*z = x,z\nz^2 = y,z\ny^2 = y\ny*z = y"),
+        (2, 3, "x^2*y = x", "x*y^2 = y",  # settles x^3 and y^3 beyond the budget
+         "x*y^2 = x,y"),
+    ]:
+        s = BuildSession(n, d)
+        for t, m in parse_script(first, n):
+            s.assign(t, m)
+        before, table = s.state, s.table()
+        [(t, m)] = parse_script(bad, n)
+        with pytest.raises(ConflictError):
+            s.assign(t, m)
+        assert s.state is before
+        assert len(s.log) == 1 and s.table() == table
+        for t, m in parse_script(rest, n):
+            s.assign(t, m)
+        assert s.complete and s.division().validate().valid
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(2, 3), (2, 4), (3, 3)]), st.randoms(use_true_random=False))
+def test_a_rejected_choice_changes_nothing(slice_, rng):
+    """Random choices, assigned terms and conflicting sets included: every
+    ConflictError leaves the state, the log and the table as they were."""
+    n, d = slice_
+    subsets = [frozenset(c) for k in range(1, n + 1) for c in combinations(range(1, n + 1), k)]
+    session = BuildSession(n, d)
+    for _ in range(4 * len(session.state.support)):
+        if session.complete:
+            break
+        before, log, table = session.state, list(session.log), session.table()
+        try:
+            session.assign(rng.choice(session.state.support), rng.choice(subsets))
+        except ConflictError:
+            assert session.state is before
+            assert session.log == log and session.table() == table
 
 
 def test_double_assignment_conflicts():

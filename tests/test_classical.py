@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conedec import (
     InvalidDivisionError,
@@ -64,6 +66,20 @@ def test_janet_vs_pommaret_on_general_set():
     assert pom.multiplicative_set(term("x*y")) == frozenset({1})
     assert janet.multiplicative_set(term("x^2")) == frozenset({1})
     assert janet.multiplicative_set(parse_term("z^3", 3)) == frozenset({1, 2, 3})
+
+
+def _janet_by_pairs(ts, n):
+    """Janet's rule as stated, one comparison per pair of terms."""
+    return {t: frozenset(j for j in range(1, n + 1) if not any(
+        s[j:] == t[j:] and s[j - 1] > t[j - 1] for s in ts if s != t)) for t in ts}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(*[st.integers(0, 3)] * n), max_size=12))))
+def test_janet_matches_the_pairwise_rule(case):
+    n, ts = case
+    assert janet_general(ts, n).mult == _janet_by_pairs(ts, n)
 
 
 @pytest.mark.parametrize("n", range(1, 5))

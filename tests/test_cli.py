@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from conedec import pommaret_on_slice
-from conedec.cli import main
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conedec import pommaret_general, pommaret_on_slice
+from conedec.cli import MAX_SLICE_TERMS, main
 from conedec.division import RelDivision, make_division
 
 
@@ -16,6 +22,13 @@ from conedec.division import RelDivision, make_division
 def p32_file(tmp_path):
     path = tmp_path / "p32.json"
     path.write_text(pommaret_on_slice(3, 2).to_json())
+    return str(path)
+
+
+@pytest.fixture
+def general_file(tmp_path):
+    path = tmp_path / "general.json"
+    path.write_text(pommaret_general([(2, 0, 0), (1, 1, 0), (0, 0, 3)], 3).to_json())
     return str(path)
 
 
@@ -129,6 +142,17 @@ def test_graph_rejects_invalid(capsys, bad31_file):
     assert main(["graph", bad31_file]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["graph", "G"],
+    ["closure", "G", "x*y"],
+    ["sigma", "--division", "G"],
+], ids=["graph", "closure", "sigma"])
+def test_general_division_where_a_slice_is_needed_exits_1(capsys, general_file, argv):
+    assert main([general_file if a == "G" else a for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_closure_ideal(capsys, p32_file):
     assert main(["closure", p32_file, "x*y", "--mode", "ideal"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -174,10 +198,14 @@ def test_build_script(capsys, tmp_path):
 
 def test_build_script_conflict(capsys, tmp_path):
     script = tmp_path / "s.txt"
-    script.write_text("x*y = x,y,z\nz^2 = x,y,z\n")
-    assert main(["build", "3", "2", "--script", str(script)]) == 1
-    err = capsys.readouterr().err
-    assert "conflict" in err
+    for n, d, text, message in [
+        ("3", "2", "x*y = x,y,z\nz^2 = x,y,z\n", "line 2: z^2 may not take all of [1, 2]"),
+        ("2", "3", "x^2*y = x\n\nx*y^2 = y\n", "line 3: no admissible set size left for y^3"),
+    ]:
+        script.write_text(text)
+        assert main(["build", n, d, "--script", str(script)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"conflict: {message}\n" and captured.out == ""
 
 
 def test_build_script_incomplete(capsys, tmp_path):
@@ -222,9 +250,24 @@ def test_build_interactive_rejects_term_outside_the_slice(capsys, monkeypatch):
     assert RelDivision.from_json(captured.out).validate().valid
 
 
+@pytest.mark.parametrize("stop", [EOFError, KeyboardInterrupt], ids=["eof", "ctrl-c"])
+def test_build_interactive_stopped_before_completion_exits_1(capsys, monkeypatch, stop):
+    def fake_input(prompt):
+        raise stop
+
+    monkeypatch.setattr(sys.stdin, "isatty", lambda: True)
+    monkeypatch.setattr("builtins.input", fake_input)
+    assert main(["build", "3", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("\nconflict: the assignment is incomplete\n")
+    assert "Traceback" not in captured.err
+
+
 def test_build_needs_tty_without_script(capsys, monkeypatch):
     monkeypatch.setattr(sys.stdin, "isatty", lambda: False)
     assert main(["build", "3", "2"]) == 2
+    assert capsys.readouterr().err == "error: interactive build needs a terminal; use --script\n"
 
 
 def test_sigma_expected_only(capsys):
@@ -279,6 +322,30 @@ def test_module_entry_point():
     assert json.loads(out.stdout) == {"expected": [3, 2, 1], "sum": 6}
 
 
+@pytest.mark.parametrize("argv, lines", [
+    (["enumerate", "3", "3"], 1),
+    (["sigma", "3", "2"], 0),
+], ids=["mid-stream", "before-output"])
+def test_closed_stdout_exits_1_without_traceback(argv, lines):
+    # stdout is block-buffered, as it is by default, so output is pending
+    # when the pipe closes; enumerate 3 3 (about 77 kB) outgrows a pipe's
+    # buffer, so a close after its first line always finds it mid-stream
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    if not lines:
+        os.close(read_end)
+    proc = subprocess.Popen([sys.executable, "-m", "conedec", *argv],
+                            stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    if lines:
+        with os.fdopen(read_end, "rb", buffering=0) as out:
+            assert RelDivision.from_json(out.readline()).validate().valid
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == ""
+
+
 @pytest.mark.parametrize("text", [
     "[1, 2]",
     '{"n": 3, "degree": "1", "multiplicative": {}}',
@@ -292,10 +359,11 @@ def test_module_entry_point():
     '{"n": 2, "degree": 1, "multiplicative": {"x": [true], "y": ["x", "y"]}}',
     '{"n": 300000, "degree": 1, "multiplicative": {"x1": ["x1"]}}',
     "[" * 100_000,
+    pommaret_on_slice(2, MAX_SLICE_TERMS).to_json(),
     None,
 ], ids=["array", "degree-string", "mult-list", "n-bool", "degree-bool", "syntax",
         "permuted-variables", "variables-string", "exponent-bool", "index-bool",
-        "n-over-cap", "over-nested", "directory"])
+        "n-over-cap", "over-nested", "too-many-terms", "directory"])
 def test_malformed_division_file_is_usage_error(capsys, tmp_path, text):
     path = tmp_path  # text None: the path names a directory
     if text is not None:
@@ -321,11 +389,12 @@ def test_malformed_division_file_is_usage_error(capsys, tmp_path, text):
     ["enumerate", "3", "200"],
     ["gen", "pommaret", "64", "20"],
     ["build", "64", "20"],
+    ["gen", "janet", "3", "2", "--order", "1,2,3"],
 ], ids=["enumerate-n0", "enumerate-n-over-cap", "enumerate-negative-degree", "sigma-n0",
         "order-not-integers", "order-not-permutation", "seed-unparsable",
         "oracle-negative", "certify-negative", "vandermonde-negative",
         "enumerate-too-wide", "enumerate-too-many-terms", "gen-too-many-terms",
-        "build-too-many-terms"])
+        "build-too-many-terms", "order-on-janet"])
 def test_bad_arguments_are_usage_errors(capsys, p32_file, argv):
     argv = [p32_file if a == "P32" else a for a in argv]
     try:
@@ -336,3 +405,84 @@ def test_bad_arguments_are_usage_errors(capsys, p32_file, argv):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "error: " in err.splitlines()[-1]
+
+
+_INT = st.sampled_from(["2", "1", "0"])  # slices stay at most (2,2)
+_FILE = st.sampled_from(["SLICE", "GENERAL", "INVALID", "SCRIPT", "MALFORMED", "DIR", "MISSING"])
+_TERM = st.sampled_from(["x*y", "y^2", "x^3", "q*y", "1", "[1,1,0]", ""])
+_VALUES = {  # option -> its value, None for a flag
+    "--order": st.sampled_from(["1,2", "2,1", "1,1", "1,2,3", "a"]),
+    "--oracle": _INT,
+    "--certify": _INT,
+    "--kind": st.sampled_from(["ufnarovsky", "redundant", "generalized"]),
+    "--format": st.sampled_from(["dot", "json"]),
+    "--mode": st.sampled_from(["ideal", "escalier"]),
+    "--script": _FILE,
+    "--division": _FILE,
+    "--orbits": None,
+}
+_GRAMMAR = {  # subcommand -> (positionals, own options)
+    "gen": ([st.sampled_from(["pommaret", "janet"]), _INT, _INT], ["--order"]),
+    "validate": ([_FILE], ["--oracle"]),
+    "enumerate": ([_INT, _INT], ["--orbits"]),
+    "graph": ([_FILE], ["--kind", "--format"]),
+    "closure": ([_FILE, _TERM, _TERM], ["--mode", "--certify"]),
+    "build": ([_INT, _INT], ["--script"]),
+    "sigma": ([_INT, _INT], ["--division"]),
+    "vandermonde": ([_INT, _INT, _INT], []),
+    "frobnicate": ([], []),
+}
+_JUNK = st.sampled_from(["-1", "a", "", "-", "--", "--bogus", "-h", "q", "=", "1,1", "x^3"])
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand with its positionals and some of its options; one time in
+    four with positionals cut short, any options and stray tokens."""
+    sub = draw(st.sampled_from(list(_GRAMMAR)))
+    positionals, own = _GRAMMAR[sub]
+    malformed = draw(st.integers(0, 3)) == 0
+    args = [draw(s) for s in positionals]
+    if malformed:
+        args = args[:draw(st.integers(0, len(args)))]
+    names = list(_VALUES) if malformed else own
+    for name in draw(st.lists(st.sampled_from(names), max_size=2)) if names else []:
+        args += [name] if _VALUES.get(name) is None else [name, draw(_VALUES[name])]
+    if malformed:
+        args += draw(st.lists(st.one_of(_JUNK, _INT, _FILE, _TERM), max_size=2))
+    return [sub, *args]
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {
+        "SLICE": pommaret_on_slice(3, 2).to_json(),
+        "GENERAL": pommaret_general([(2, 0, 0), (1, 1, 0), (0, 0, 3)], 3).to_json(),
+        "INVALID": make_division(3, 1, {"x": "x,y", "y": "y,z", "z": "x,z"}).to_json(),
+        "SCRIPT": "x*y = x,y\nx^2 = x,y\n",  # a (2,2) script whose second line conflicts
+        "MALFORMED": '{"n": 3,',
+    }
+    paths = {"DIR": str(root), "MISSING": str(root / "missing.json")}
+    for name, text in files.items():
+        (root / name).write_text(text)
+        paths[name] = str(root / name)
+    return paths
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_fuzzed_command_lines_exit_cleanly(fuzz_paths, argv):
+    """Any command line from the grammar above returns or exits with 0, 1 or
+    2 and prints no traceback."""
+    argv = [fuzz_paths.get(a, a) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys.stdin, "isatty", lambda: False)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -4,6 +4,8 @@ import copy
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conedec import (
     NoInvolutiveDivisorError,
@@ -150,6 +152,27 @@ def test_json_roundtrip_bytes(pommaret32, four_vars, facile):
         again = RelDivision.from_json(text)
         assert again == div
         assert again.to_json() == text
+
+
+@st.composite
+def divisions(draw):
+    """A full slice or a general term set, with arbitrary multiplicative sets."""
+    n = draw(st.integers(1, 6))
+    subsets = st.frozensets(st.integers(1, n))
+    if draw(st.booleans()):
+        d = draw(st.integers(0, 3))
+        return RelDivision.on_slice(n, d, {t: draw(subsets) for t in enumerate_terms(n, d)})
+    terms = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), unique=True, max_size=8))
+    return RelDivision.general(n, {t: draw(subsets) for t in terms})
+
+
+@settings(max_examples=200, deadline=None)
+@given(divisions())
+def test_json_roundtrip_fuzzed(div):
+    text = div.to_json()
+    again = RelDivision.from_json(text)
+    assert again == div
+    assert again.to_json() == text
 
 
 def test_json_accepts_exponent_array_keys(pommaret32):

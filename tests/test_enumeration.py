@@ -224,7 +224,7 @@ def test_propagation_worked_sequence_settles_last_term():
     assert pa.forced_out[term("y^2")] == {1, 3}
     pa = pa.assign(term("y^2"), frozenset({2}))
     pa = pa.assign(term("y*z"), frozenset({2}))
-    assert pa.decided(term("x^2")) == frozenset({1})
+    assert (pa.forced_in[term("x^2")], pa.forced_out[term("x^2")]) == ({1}, {2, 3})
 
 
 def test_propagate_conflicts():

@@ -98,12 +98,22 @@ def test_vandermonde_refuses_nothing_silently():
     assert total != comb(2 + 1 + 3 - 1, 3 - 1)
 
 
-@given(st.integers(1, 4).flatmap(
+@given(st.integers(1, 12).flatmap(
     lambda n: st.tuples(st.just(n), st.lists(
-        st.integers(0, 5), min_size=n, max_size=n))))
+        st.integers(0, 12), min_size=n, max_size=n))))
 def test_format_parse_roundtrip(nt):
     n, exps = nt
     t = tuple(exps)
+    assert T.parse_term(T.format_term(t, n), n) == t
+
+
+@given(st.integers(1, 12), st.text("xyzt0123456789^*[], -", max_size=16))
+def test_parse_fuzzed_text_rejects_or_roundtrips(n, text):
+    try:
+        t = T.parse_term(text, n)
+    except ValueError:
+        return
+    assert len(t) == n and all(e >= 0 for e in t)
     assert T.parse_term(T.format_term(t, n), n) == t
 
 
