@@ -249,7 +249,7 @@ def cmd_build(args) -> int:
     print(session.render(_color_allowed()), file=sys.stderr)
     div = session.division()  # ConflictError while the assignment is incomplete
     print(div.to_json())
-    return 0 if div.validate().valid else 1
+    return 0 if div.is_valid else 1
 
 
 def _add_slice_args(p) -> None:

@@ -10,7 +10,7 @@ pairwise disjointness via the gcd criterion, coverage via the size profile.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
@@ -71,20 +71,19 @@ class ValidationReport:
     """Outcome of a validity check; valid iff no violations were recorded."""
 
     n: int
-    valid: bool
     violations: list[dict] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+
+    @property
+    def valid(self) -> bool:
+        return not self.violations
 
     def kinds(self) -> set[str]:
         return {v["kind"] for v in self.violations}
 
     def merged(self, other: "ValidationReport") -> "ValidationReport":
         return ValidationReport(
-            self.n,
-            self.valid and other.valid,
-            self.violations + other.violations,
-            self.notes + other.notes,
-        )
+            self.n, self.violations + other.violations, self.notes + other.notes)
 
     def to_json_dict(self) -> dict:
         return {
@@ -127,7 +126,6 @@ class RelDivision:
     degree: int | None
     support: tuple[Term, ...]
     mult: Mapping[Term, VarSet]
-    _valid: bool | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -227,13 +225,16 @@ class RelDivision:
         """The unique support term with every variable multiplicative."""
         if not self.is_full_slice:
             raise InvalidDivisionError("peak is defined on full-slice assignments only")
-        full = frozenset(range(1, self.n + 1))
-        peaks = [u for u in self.support if self.mult[u] == full]
+        peaks = self._peaks()
         if len(peaks) != 1:
             names = [format_term(u, self.n) for u in peaks]
             raise InvalidDivisionError(
                 "no peak" if not peaks else f"multiple peaks: {', '.join(names)}")
         return peaks[0]
+
+    def _peaks(self) -> list[Term]:
+        full = frozenset(range(1, self.n + 1))
+        return [u for u in self.support if self.mult[u] == full]
 
     # -- validation --------------------------------------------------------
 
@@ -245,15 +246,20 @@ class RelDivision:
             tuple(varmask(self.mult[t]) for t in self.support),
         )
 
-    @property
+    @cached_property
     def is_valid(self) -> bool:
-        """validate().valid, computed once per division."""
-        if self._valid is None:
-            self.validate()
-        return self._valid
+        """No violation at all: _violations() read up to its first item, once
+        per division."""
+        return next(self._violations(), None) is None
 
     def validate(self) -> ValidationReport:
-        """Exact validity check.
+        """Every violation of _violations(), and a note where coverage is left
+        to the covering oracle."""
+        notes = [] if self.is_full_slice else ["coverage unverified here"]
+        return ValidationReport(self.n, list(self._violations()), notes)
+
+    def _violations(self) -> Iterator[dict]:
+        """The exact validity check, one violation at a time.
 
         Pairwise cone disjointness is decided by the gcd criterion: the cones
         of u and v meet iff the variables of u/gcd sit inside M(v) and those
@@ -262,35 +268,27 @@ class RelDivision:
         matching the expected one, so validity is decided completely; on a
         general set coverage is not certified here (see the covering oracle).
         """
-        violations: list[dict] = []
-        notes: list[str] = []
         terms = self.support
         quot, mult = self.pair_table.quot, self.pair_table.mult
         for i, u in enumerate(terms):
             for j in range(i + 1, len(terms)):
                 if not quot[j][i] & ~mult[i] and not quot[i][j] & ~mult[j]:
                     v = terms[j]
-                    violations.append(
-                        {"kind": "overlap", "u": u, "v": v, "witness": term_lcm(u, v)})
-        if self.is_full_slice:
-            observed = self.sigma_profile()
-            expected = sigma_expected(self.n, self.degree)
-            if observed != expected:
-                violations.append(
-                    {"kind": "profile-mismatch", "observed": observed, "expected": expected})
-            for i in range(1, self.n + 1):
-                if i not in self.mult[pure_power(self.n, self.degree, i)]:
-                    violations.append({"kind": "pure-power", "variable": i})
-            full = frozenset(range(1, self.n + 1))
-            peaks = [u for u in terms if self.mult[u] == full]
-            if not peaks:
-                violations.append({"kind": "no-peak"})
-            elif len(peaks) > 1:
-                violations.append({"kind": "multiple-peaks", "terms": peaks})
-        else:
-            notes.append("coverage unverified here")
-        object.__setattr__(self, "_valid", not violations)
-        return ValidationReport(self.n, not violations, violations, notes)
+                    yield {"kind": "overlap", "u": u, "v": v, "witness": term_lcm(u, v)}
+        if not self.is_full_slice:
+            return
+        observed = self.sigma_profile()
+        expected = sigma_expected(self.n, self.degree)
+        if observed != expected:
+            yield {"kind": "profile-mismatch", "observed": observed, "expected": expected}
+        for i in range(1, self.n + 1):
+            if i not in self.mult[pure_power(self.n, self.degree, i)]:
+                yield {"kind": "pure-power", "variable": i}
+        peaks = self._peaks()
+        if not peaks:
+            yield {"kind": "no-peak"}
+        elif len(peaks) > 1:
+            yield {"kind": "multiple-peaks", "terms": peaks}
 
     # -- permutation -------------------------------------------------------
 

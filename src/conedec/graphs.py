@@ -8,7 +8,9 @@ generalized construction.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+import io
 
 from .division import InvalidDivisionError, RelDivision
 from .terms import Term, deglex_key, format_term, var_names
@@ -50,36 +52,28 @@ class LabeledDigraph:
     def edge_pairs(self) -> frozenset[tuple[Term, Term]]:
         return frozenset((tail, head) for tail, head, _ in self.edges)
 
-    def _sorted_edges(self) -> list[Edge]:
-        return sorted(
-            self.edges,
-            key=lambda e: (deglex_key(e[0]), deglex_key(e[1]), e[2] if e[2] else 0),
-        )
+    def _named_edges(self) -> Iterator[tuple[str, str, str | None]]:
+        """Edges as (tail, head, label) names, ordered by the rows of their
+        ends in the deg-lex ordered nodes, then by label (none first)."""
+        names = var_names(self.n)
+        row = {t: i for i, t in enumerate(self.nodes)}
+        node = [format_term(t, self.n) for t in self.nodes]
+        rows = sorted((row[tail], row[head], label or 0) for tail, head, label in self.edges)
+        return ((node[t], node[h], names[j - 1] if j else None) for t, h, j in rows)
 
     def to_dot(self, name: str = "division") -> str:
-        names = var_names(self.n)
-        lines = [f"digraph {name} {{"]
+        out = io.StringIO()  # no list of lines next to the text
+        out.write(f"digraph {name} {{\n")
         for t in self.nodes:
-            lines.append(f'  "{format_term(t, self.n)}";')
-        for tail, head, label in self._sorted_edges():
-            attr = f' [label="{names[label - 1]}"]' if label is not None else ""
-            lines.append(
-                f'  "{format_term(tail, self.n)}" -> "{format_term(head, self.n)}"{attr};')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+            out.write(f'  "{format_term(t, self.n)}";\n')
+        for tail, head, label in self._named_edges():
+            attr = f' [label="{label}"]' if label is not None else ""
+            out.write(f'  "{tail}" -> "{head}"{attr};\n')
+        out.write("}\n")
+        return out.getvalue()
 
     def to_json_dict(self) -> dict:
-        names = var_names(self.n)
-        return {
-            "edges": [
-                [
-                    format_term(tail, self.n),
-                    format_term(head, self.n),
-                    names[label - 1] if label is not None else None,
-                ]
-                for tail, head, label in self._sorted_edges()
-            ]
-        }
+        return {"edges": [list(e) for e in self._named_edges()]}
 
 
 def _walk(adjacency: dict[Term, set[Term]], seed) -> frozenset[Term]:

@@ -31,7 +31,7 @@ def verify_division_covering(div: RelDivision, margin: int = 3) -> ValidationRep
             elif len(owners) > 1:
                 violations.append(
                     {"kind": "double-covered", "term": w, "u": owners[0], "v": owners[1]})
-    return ValidationReport(div.n, not violations, violations)
+    return ValidationReport(div.n, violations)
 
 
 def verify_ideal_equality(div: RelDivision, members, margin: int = 3):

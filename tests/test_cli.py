@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conedec import pommaret_general, pommaret_on_slice
+from conedec import RelDivision, enumerate_terms, pommaret_general, pommaret_on_slice
 from conedec.cli import MAX_SLICE_TERMS, main
-from conedec.division import RelDivision, make_division
+from conedec.division import make_division
 
 
 @pytest.fixture
@@ -140,6 +140,36 @@ def test_graph_json_kinds(capsys, p32_file):
 
 def test_graph_rejects_invalid(capsys, bad31_file):
     assert main(["graph", bad31_file]) == 1
+
+
+def peak_rss_mb(argv) -> tuple[int, float]:
+    """Exit code and peak RSS of `conedec argv`, run from a fresh wrapper
+    process: this process's RUSAGE_CHILDREN keeps the largest peak of every
+    child it ever waited for."""
+    wrapper = ("import resource, subprocess, sys\n"
+               "code = subprocess.run([sys.executable, '-m', 'conedec', *sys.argv[1:]],"
+               " stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode\n"
+               "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    out = subprocess.run([sys.executable, "-c", wrapper, *argv],
+                         capture_output=True, text=True, check=True)
+    code, kb = map(int, out.stdout.split())
+    return code, kb / 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux only")
+@pytest.mark.parametrize("div, code, limit_mb", [
+    # every term keeps all variables: 861 terms, 370,230 overlapping pairs
+    (lambda: RelDivision.on_slice(
+        3, 40, {t: frozenset({1, 2, 3}) for t in enumerate_terms(3, 40)}), 1, 60),
+    # the output of `conedec gen pommaret 40 2`: 820 terms, 133,250 edges
+    (lambda: pommaret_on_slice(40, 2), 0, 120),
+], ids=["refused-all-overlap-3-40", "pommaret-40-2"])
+def test_redundant_graph_memory_is_bounded(tmp_path, div, code, limit_mb):
+    path = tmp_path / "division.json"
+    path.write_text(div().to_json())
+    got, mb = peak_rss_mb(["graph", str(path), "--kind", "redundant"])
+    assert got == code
+    assert mb < limit_mb
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conedec.division
 from conedec import (
     NoInvolutiveDivisorError,
     InvalidDivisionError,
     RelDivision,
+    ValidationReport,
     detect_pommaret,
     enumerate_terms,
     parse_term,
@@ -119,6 +121,29 @@ def test_validate_general_disjoint_has_note():
     rep = div.validate()
     assert rep.valid
     assert rep.notes == ["coverage unverified here"]
+
+
+def test_is_valid_stops_at_the_first_violation(monkeypatch):
+    # every term of the (3,6) slice keeps all variables: all 378 pairs overlap
+    full = frozenset({1, 2, 3})
+    div = RelDivision.on_slice(3, 6, {t: full for t in enumerate_terms(3, 6)})
+    calls = []
+    monkeypatch.setattr(conedec.division, "term_lcm",
+                        lambda u, v: calls.append((u, v)) or term_lcm(u, v))
+    assert not div.is_valid
+    assert len(calls) <= 1
+    report = div.validate()
+    assert sum(v["kind"] == "overlap" for v in report.violations) == 378
+
+
+def test_report_validity_follows_its_violations(pommaret32):
+    ok = ValidationReport(3, [], ["coverage unverified here"])
+    bad = ValidationReport(3, [{"kind": "no-peak"}])
+    assert ok.valid and not bad.valid
+    assert ok.merged(ok).valid and not ok.merged(bad).valid and not bad.merged(ok).valid
+    assert ok.merged(bad).to_json_dict() == {
+        "valid": False, "violations": [{"kind": "no-peak"}], "notes": ["coverage unverified here"]}
+    assert not hasattr(pommaret32, "_valid")
 
 
 def test_peak(pommaret32, uncovering31):

@@ -137,9 +137,11 @@ def test_validate_matches_gcd_rule(bases, data):
     div = relabelled(data, bases)
     if data.draw(st.booleans()):
         div = mutated(data, div)
+    fresh = RelDivision(div.n, div.degree, div.support, dict(div.mult))
+    fresh_is_valid = fresh.is_valid  # read before any validate() on this instance
     report = div.validate()
     assert [v for v in report.violations if v["kind"] == "overlap"] == overlaps_by_gcd(div)
-    assert div.is_valid == report.valid
+    assert div.is_valid == fresh_is_valid == report.valid
 
 
 @SETTINGS

@@ -8,16 +8,20 @@ from conedec import (
     InvalidDivisionError,
     LabeledDigraph,
     compliant_closure,
+    deglex_key,
     enumerate_divisions,
+    format_term,
     generalized_graph,
     graph_from_edge_list,
     parse_term,
+    pommaret_on_slice,
     reachability_equivalent,
     reachable_backward,
     reachable_forward,
     redundant_graph,
     revenant_closure,
     ufnarovsky_graph,
+    var_names,
 )
 
 from conftest import FOUR_VARS_GRAPH_EDGES, POMMARET32_EDGES, STRANGE32_EDGES, term
@@ -174,3 +178,34 @@ def test_json_edge_list(pommaret32):
 def test_json_edge_list_unlabeled(facile):
     data = generalized_graph(facile).to_json_dict()
     assert all(e[2] is None for e in data["edges"])
+
+
+def deglex_keyed_output(g: LabeledDigraph) -> tuple[str, str]:
+    """DOT text and indented JSON of g as written by sorting the edges on the
+    deg-lex keys of their ends, then the label, and formatting every end."""
+    names = var_names(g.n)
+    edges = sorted(g.edges, key=lambda e: (deglex_key(e[0]), deglex_key(e[1]), e[2] or 0))
+    dot = ["digraph division {", *(f'  "{format_term(t, g.n)}";' for t in g.nodes)]
+    rows = []
+    for tail, head, label in edges:
+        rows.append([format_term(tail, g.n), format_term(head, g.n),
+                     names[label - 1] if label is not None else None])
+        attr = f' [label="{rows[-1][2]}"]' if label is not None else ""
+        dot.append(f'  "{rows[-1][0]}" -> "{rows[-1][1]}"{attr};')
+    dot.append("}")
+    return "\n".join(dot) + "\n", json.dumps({"edges": rows}, indent=2)
+
+
+def test_graph_output_is_ordered_as_by_deglex_keys():
+    divisions = [*enumerate_divisions(3, 2), *enumerate_divisions(3, 3),
+                 pommaret_on_slice(5, 4).permuted((3, 5, 1, 2, 4)),
+                 pommaret_on_slice(6, 4).permuted((6, 1, 4, 2, 5, 3))]
+    graphs = [build(div) for div in divisions
+              for build in (ufnarovsky_graph, redundant_graph, generalized_graph)]
+    # nodes given out of order, and one pair of ends under two labels and none
+    x2, xy, y2, xz, z2 = (parse_term(s, 3) for s in ("x^2", "x*y", "y^2", "x*z", "z^2"))
+    graphs.append(graph_from_edge_list(3, [z2, xy, x2, xz, y2], [
+        (z2, x2, 3), (xy, x2, 2), (z2, x2, 1), (z2, x2), (x2, z2, 2), (y2, xy, 2),
+        (xz, xy, 1), (xz, x2)]))
+    for g in graphs:
+        assert (g.to_dot(), json.dumps(g.to_json_dict(), indent=2)) == deglex_keyed_output(g)

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import ast
+import inspect
+
 import pytest
+
+import conedec.oracle
 
 from conedec import (
     brute_compliant,
@@ -104,3 +109,15 @@ def test_brute_compliant_across_enumeration():
         for t in div.support:
             assert brute_compliant(div, [t]) == set(
                 compliant_closure(div, [t]).closure)
+
+
+def test_oracle_reads_only_the_naive_surface_of_a_division():
+    # the oracle judges the pair-table fast paths, so it must not use them
+    tree = ast.parse(inspect.getsource(conedec.oracle))
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    assert "cone_contains" in used
+    assert not used & {"pair_table", "PairTable", "quotient_masks",
+                       "is_valid", "validate", "_violations"}
