@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import json
 
 from .division import InvalidDivisionError, RelDivision
+from .graphs import walk
 from .terms import Term, deglex_key, degree, format_term, term_lcm
 
 Witness = tuple[Term, Term, Term, Term, Term]  # added, s, t, lcm, vertex
@@ -55,24 +56,17 @@ def _prepare(div: RelDivision, seed) -> list[Term]:
 
 def _reach(div: RelDivision, seed: list[Term], forward: bool) -> ClosureReport:
     """Breadth-first reachability from the seed along the edges t -> s of the
-    redundant graph (lcm(s, t) in the cone of t), forwards or backwards.
-    Members are expanded in the order they joined, neighbours in deg-lex
-    order, so the witness list is deterministic."""
+    redundant graph (lcm(s, t) in the cone of t), forwards or backwards; one
+    witness per member reached, in the order reached."""
     terms, table = div.support, div.pair_table
-    step = table.heads if forward else table.tails
-    order = [table.row[t] for t in seed]
-    members = set(order)
+    start = [table.row[t] for t in seed]
+    reached = list(walk(table.heads if forward else table.tails, start))
     witnesses: list[Witness] = []
-    for a in order:  # grows while it is walked
-        for b in step(a):
-            if b in members:
-                continue
-            members.add(b)
-            order.append(b)
-            t, s = (terms[a], terms[b]) if forward else (terms[b], terms[a])
-            witnesses.append((terms[b], s, t, term_lcm(s, t), t))
-    return ClosureReport(
-        div.n, tuple(seed), tuple(terms[i] for i in sorted(members)), tuple(witnesses))
+    for b, a in reached:
+        t, s = (terms[a], terms[b]) if forward else (terms[b], terms[a])
+        witnesses.append((terms[b], s, t, term_lcm(s, t), t))
+    members = sorted(start + [b for b, _ in reached])
+    return ClosureReport(div.n, tuple(seed), tuple(terms[i] for i in members), tuple(witnesses))
 
 
 def compliant_closure(div: RelDivision, seed) -> ClosureReport:

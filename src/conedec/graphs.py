@@ -8,62 +8,39 @@ generalized construction.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 import io
 
 from .division import InvalidDivisionError, RelDivision
 from .terms import Term, deglex_key, format_term, var_names
 
-Edge = tuple[Term, Term, int | None]
-
-
 @dataclass(frozen=True)
 class LabeledDigraph:
+    """Nodes in deg-lex order; arcs sorted, without repeats, as (tail row,
+    head row, label or 0).  graph_from_edge_list builds one from terms."""
+
     n: int
     nodes: tuple[Term, ...]
-    edges: frozenset[Edge]
+    arcs: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self):
-        nodeset = set(self.nodes)
-        if len(nodeset) != len(self.nodes):
-            raise ValueError("duplicate nodes")
-        for tail, head, label in self.edges:
-            if tail == head:
-                raise ValueError(f"self loop at {format_term(tail, self.n)}")
-            if tail not in nodeset or head not in nodeset:
-                raise ValueError("edge endpoint outside the node set")
-            if label is not None and not 1 <= label <= self.n:
-                raise ValueError(f"bad edge label {label}")
-        object.__setattr__(self, "nodes", tuple(sorted(self.nodes, key=deglex_key)))
-
-    def successors(self) -> dict[Term, set[Term]]:
-        out: dict[Term, set[Term]] = {t: set() for t in self.nodes}
-        for tail, head, _ in self.edges:
-            out[tail].add(head)
-        return out
-
-    def predecessors(self) -> dict[Term, set[Term]]:
-        out: dict[Term, set[Term]] = {t: set() for t in self.nodes}
-        for tail, head, _ in self.edges:
-            out[head].add(tail)
-        return out
+    @property
+    def edges(self) -> frozenset[tuple[Term, Term, int | None]]:
+        """The arcs as (tail, head, label or None) term triples."""
+        return frozenset((self.nodes[t], self.nodes[h], j or None) for t, h, j in self.arcs)
 
     def edge_pairs(self) -> frozenset[tuple[Term, Term]]:
-        return frozenset((tail, head) for tail, head, _ in self.edges)
+        return frozenset((self.nodes[t], self.nodes[h]) for t, h, _ in self.arcs)
 
     def _named_edges(self) -> Iterator[tuple[str, str, str | None]]:
-        """Edges as (tail, head, label) names, ordered by the rows of their
-        ends in the deg-lex ordered nodes, then by label (none first)."""
+        """Arcs as (tail, head, label) names, in arc order."""
         names = var_names(self.n)
-        row = {t: i for i, t in enumerate(self.nodes)}
         node = [format_term(t, self.n) for t in self.nodes]
-        rows = sorted((row[tail], row[head], label or 0) for tail, head, label in self.edges)
-        return ((node[t], node[h], names[j - 1] if j else None) for t, h, j in rows)
+        return ((node[t], node[h], names[j - 1] if j else None) for t, h, j in self.arcs)
 
-    def to_dot(self, name: str = "division") -> str:
+    def to_dot(self) -> str:
         out = io.StringIO()  # no list of lines next to the text
-        out.write(f"digraph {name} {{\n")
+        out.write("digraph division {\n")
         for t in self.nodes:
             out.write(f'  "{format_term(t, self.n)}";\n')
         for tail, head, label in self._named_edges():
@@ -76,28 +53,41 @@ class LabeledDigraph:
         return {"edges": [list(e) for e in self._named_edges()]}
 
 
-def _walk(adjacency: dict[Term, set[Term]], seed) -> frozenset[Term]:
-    todo = list(seed)
-    for t in todo:
-        if t not in adjacency:
-            raise LookupError(f"seed term {t} is not a node")
-    seen = set(todo)
-    while todo:
-        for nxt in adjacency[todo.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return frozenset(seen)
+def walk(step: Callable[[int], Iterable[int]], start) -> Iterator[tuple[int, int]]:
+    """Breadth-first from the start rows: each row reached that is not a start
+    row, with the row it was reached from, in the order reached.  Rows are
+    expanded in that order, the rows of step(a) in the order step gives."""
+    order = list(start)
+    seen = set(order)
+    for a in order:  # grows while it is walked
+        for b in step(a):
+            if b not in seen:
+                seen.add(b)
+                order.append(b)
+                yield b, a
+
+
+def _reachable(g: LabeledDigraph, seed, forward: bool) -> frozenset[Term]:
+    nodes, row = g.nodes, {t: i for i, t in enumerate(g.nodes)}
+    try:
+        start = [row[t] for t in seed]
+    except KeyError as exc:
+        raise LookupError(f"seed term {format_term(exc.args[0])} is not a node") from None
+    step: list[list[int]] = [[] for _ in nodes]  # the rows one arc away
+    for t, h, _ in g.arcs:
+        step[t if forward else h].append(h if forward else t)
+    reached = start + [b for b, _ in walk(step.__getitem__, start)]
+    return frozenset([nodes[i] for i in reached])
 
 
 def reachable_forward(g: LabeledDigraph, seed) -> frozenset[Term]:
     """Nodes reachable from the seed along edge direction, seed included."""
-    return _walk(g.successors(), seed)
+    return _reachable(g, seed, forward=True)
 
 
 def reachable_backward(g: LabeledDigraph, seed) -> frozenset[Term]:
     """Nodes from which the seed can be reached, seed included."""
-    return _walk(g.predecessors(), seed)
+    return _reachable(g, seed, forward=False)
 
 
 def reachability_equivalent(g1: LabeledDigraph, g2: LabeledDigraph) -> bool:
@@ -124,14 +114,14 @@ def ufnarovsky_graph(div: RelDivision) -> LabeledDigraph:
     valid assignment x_j is then non-multiplicative for s."""
     _require_valid(div, full_slice=True)
     terms, table = div.support, div.pair_table
-    edges = set()
+    arcs = []
     for t, u in enumerate(terms):
         for s in table.heads(t):
             q = table.quot[t][s]  # the variables where u exceeds terms[s]
             j = q.bit_length()
             if q == 1 << j - 1 and u[j - 1] == terms[s][j - 1] + 1:
-                edges.add((u, terms[s], j))
-    return LabeledDigraph(div.n, terms, frozenset(edges))
+                arcs.append((t, s, j))
+    return LabeledDigraph(div.n, terms, tuple(arcs))
 
 
 def redundant_graph(div: RelDivision) -> LabeledDigraph:
@@ -139,9 +129,8 @@ def redundant_graph(div: RelDivision) -> LabeledDigraph:
     cone of t."""
     _require_valid(div, full_slice=False)
     terms, table = div.support, div.pair_table
-    edges = frozenset((terms[t], terms[s], None)
-                      for t in range(len(terms)) for s in table.heads(t))
-    return LabeledDigraph(div.n, terms, edges)
+    arcs = tuple((t, s, 0) for t in range(len(terms)) for s in table.heads(t))
+    return LabeledDigraph(div.n, terms, arcs)
 
 
 def generalized_graph(div: RelDivision) -> LabeledDigraph:
@@ -155,24 +144,34 @@ def generalized_graph(div: RelDivision) -> LabeledDigraph:
     terms, table = div.support, div.pair_table
     # reach[a]: bitmask of the rows reachable from row a along kept edges
     reach = [0] * len(terms)
-    edges = set()
+    arcs = []
     for t in range(len(terms)):
         for s in table.heads(t):
             if reach[t] >> s & 1:
                 continue
-            edges.add((terms[t], terms[s], None))
+            arcs.append((t, s, 0))
             gained = 1 << s | reach[s]
             for a, r in enumerate(reach):
                 if a == t or r >> t & 1:
                     reach[a] = r | gained
-    return LabeledDigraph(div.n, terms, frozenset(edges))
+    return LabeledDigraph(div.n, terms, tuple(arcs))
 
 
 def graph_from_edge_list(n: int, nodes, edges) -> LabeledDigraph:
-    """Build a graph from (tail, head[, label]) triples of terms."""
-    es = set()
+    """Build a graph from terms: the nodes in any order, the edges as
+    (tail, head[, label]) triples, label None or a variable index 1..n."""
+    nodes = tuple(sorted((tuple(t) for t in nodes), key=deglex_key))
+    row = {t: i for i, t in enumerate(nodes)}
+    if len(row) != len(nodes):
+        raise ValueError("duplicate nodes")
+    arcs = set()
     for e in edges:
-        tail, head = e[0], e[1]
-        label = e[2] if len(e) > 2 else None
-        es.add((tuple(tail), tuple(head), label))
-    return LabeledDigraph(n, tuple(tuple(t) for t in nodes), frozenset(es))
+        tail, head, label = tuple(e[0]), tuple(e[1]), e[2] if len(e) > 2 else None
+        if tail == head:
+            raise ValueError(f"self loop at {format_term(tail, n)}")
+        if tail not in row or head not in row:
+            raise ValueError("edge endpoint outside the node set")
+        if label is not None and not 1 <= label <= n:
+            raise ValueError(f"bad edge label {label}")
+        arcs.add((row[tail], row[head], label or 0))
+    return LabeledDigraph(n, nodes, tuple(sorted(arcs)))

@@ -18,6 +18,8 @@ def verify_division_covering(div: RelDivision, margin: int = 3) -> ValidationRep
     degree, up to max support degree + margin."""
     if margin < 0:
         raise ValueError("margin must be non-negative")
+    if not div.support:  # nothing to cover
+        return ValidationReport(div.n)
     violations: list[dict] = []
     degrees = [degree(t) for t in div.support]
     lo, hi = min(degrees), max(degrees) + margin
@@ -42,6 +44,8 @@ def verify_ideal_equality(div: RelDivision, members, margin: int = 3):
     for t in members:
         if t not in div.mult:
             raise LookupError(f"member {t} not in the support")
+    if not div.support:  # no terms, so no members and nothing to compare
+        return True, None
     d0 = div.degree if div.is_full_slice else min(degree(t) for t in div.support)
     for d in range(d0, d0 + margin + 1):
         for w in enumerate_terms(div.n, d):
@@ -64,6 +68,8 @@ def verify_order_ideal(div: RelDivision, members, margin: int = 3):
     for t in members:
         if t not in div.mult:
             raise LookupError(f"member {t} not in the support")
+    if not div.support:  # no terms, so no members and no cones
+        return True, None
     d0 = div.degree if div.is_full_slice else min(degree(t) for t in div.support)
 
     @cache

@@ -92,6 +92,16 @@ def test_validate_with_oracle(capsys, bad31_file):
     assert any(v.get("term") == "x*y*z" for v in data["violations"])
 
 
+def test_validate_empty_support_with_oracle(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"n": 2, "degree": null, "multiplicative": {}}')
+    assert main(["validate", str(path), "--oracle", "1"]) == 0
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
+    assert data["valid"] is True and data["violations"] == []
+    assert captured.err == ""
+
+
 def test_validate_missing_file(capsys, tmp_path):
     assert main(["validate", str(tmp_path / "nope.json")]) == 2
 

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conedec import (
     InvalidDivisionError,
@@ -10,6 +13,7 @@ from conedec import (
     compliant_closure,
     deglex_key,
     enumerate_divisions,
+    enumerate_terms,
     format_term,
     generalized_graph,
     graph_from_edge_list,
@@ -20,6 +24,7 @@ from conedec import (
     reachable_forward,
     redundant_graph,
     revenant_closure,
+    term_lcm,
     ufnarovsky_graph,
     var_names,
 )
@@ -104,8 +109,11 @@ def test_reachability_both_directions(pommaret32):
     fwd = reachable_forward(g, [term("z^2")])
     assert fwd == {term(s) for s in ("z^2", "x*z", "y*z", "x*y", "y^2", "x^2")}
     assert reachable_forward(g, []) == frozenset()
-    with pytest.raises(LookupError):
-        reachable_forward(g, [term("x^3")])
+    for reach in (reachable_forward, reachable_backward):
+        with pytest.raises(LookupError, match=r"^seed term x\^3 is not a node$"):
+            reach(g, [term("x^3")])
+        with pytest.raises(LookupError, match=r"^seed term t\^2 is not a node$"):
+            reach(g, [(0, 0, 0, 2)])  # a term in more variables than the graph
 
 
 def test_one_step_graph_can_under_reach(four_vars):
@@ -136,11 +144,11 @@ def test_reachability_equivalent_rejects_node_mismatch(pommaret32):
 
 def test_graph_construction_guards():
     with pytest.raises(ValueError):
-        LabeledDigraph(2, ((1, 0),), frozenset({((1, 0), (1, 0), None)}))
+        graph_from_edge_list(2, ((1, 0),), frozenset({((1, 0), (1, 0), None)}))
     with pytest.raises(ValueError):
-        LabeledDigraph(2, ((1, 0),), frozenset({((1, 0), (0, 1), None)}))
+        graph_from_edge_list(2, ((1, 0),), frozenset({((1, 0), (0, 1), None)}))
     with pytest.raises(ValueError):
-        LabeledDigraph(2, ((1, 0), (0, 1)), frozenset({((1, 0), (0, 1), 5)}))
+        graph_from_edge_list(2, ((1, 0), (0, 1)), frozenset({((1, 0), (0, 1), 5)}))
 
 
 def test_dot_output(pommaret32):
@@ -209,3 +217,113 @@ def test_graph_output_is_ordered_as_by_deglex_keys():
         (xz, xy, 1), (xz, x2)]))
     for g in graphs:
         assert (g.to_dot(), json.dumps(g.to_json_dict(), indent=2)) == deglex_keyed_output(g)
+
+
+# -- the graphs and closures as they were written on term triples ------------
+
+TermGraph = namedtuple("TermGraph", "n nodes edges")  # edges: frozenset of term triples
+
+
+def term_triple_graph(div, kind: str) -> TermGraph:
+    """Each graph kind as a frozenset of (tail, head, label) term triples."""
+    terms, table = div.support, div.pair_table
+    edges, reach = set(), [0] * len(terms)
+    for t, u in enumerate(terms):
+        for s in table.heads(t):
+            if kind == "ufnarovsky":
+                q = table.quot[t][s]
+                j = q.bit_length()
+                if q == 1 << j - 1 and u[j - 1] == terms[s][j - 1] + 1:
+                    edges.add((u, terms[s], j))
+            elif kind == "redundant":
+                edges.add((u, terms[s], None))
+            elif not reach[t] >> s & 1:
+                edges.add((u, terms[s], None))
+                gained = 1 << s | reach[s]
+                for a, r in enumerate(reach):
+                    if a == t or r >> t & 1:
+                        reach[a] = r | gained
+    return TermGraph(div.n, tuple(sorted(terms, key=deglex_key)), frozenset(edges))
+
+
+def queue_closure(div, seed, forward: bool):
+    """Closure members and witnesses by the breadth-first loop over the pair
+    table: members expanded in the order they joined, neighbours in row order."""
+    terms, table = div.support, div.pair_table
+    step = table.heads if forward else table.tails
+    order = [table.row[t] for t in sorted(set(seed), key=deglex_key)]
+    members, witnesses = set(order), []
+    for a in order:
+        for b in step(a):
+            if b not in members:
+                members.add(b)
+                order.append(b)
+                t, s = (terms[a], terms[b]) if forward else (terms[b], terms[a])
+                witnesses.append((terms[b], s, t, term_lcm(s, t), t))
+    return tuple(terms[i] for i in sorted(members)), tuple(witnesses)
+
+
+KINDS = {"ufnarovsky": ufnarovsky_graph, "redundant": redundant_graph,
+         "generalized": generalized_graph}
+
+
+def test_graphs_and_closures_match_the_term_triple_code():
+    divisions = [*enumerate_divisions(3, 2), *enumerate_divisions(3, 3),
+                 pommaret_on_slice(5, 4).permuted((3, 5, 1, 2, 4)),
+                 pommaret_on_slice(6, 4).permuted((6, 1, 4, 2, 5, 3))]
+    for div in divisions:
+        for kind, build in KINDS.items():
+            g, want = build(div), term_triple_graph(div, kind)
+            assert g.nodes == want.nodes and g.edges == want.edges
+            assert (g.to_dot(), json.dumps(g.to_json_dict(), indent=2)) == deglex_keyed_output(want)
+            assert graph_from_edge_list(g.n, g.nodes, g.edges) == g
+        seeds = [[t] for t in div.support[:12]] + [list(div.support[1:4:2])]
+        for seed in seeds:
+            for close, forward in ((compliant_closure, False), (revenant_closure, True)):
+                rep = close(div, seed)
+                assert (rep.closure, rep.witnesses) == queue_closure(div, seed, forward)
+
+
+SLICE33 = list(enumerate_terms(3, 3))
+
+
+def fixpoint(edges, seed, forward: bool) -> set:
+    """Nodes reached from the seed: add the far ends of all edges leaving the
+    set until nothing new is added."""
+    reached = set(seed)
+    while True:
+        more = {e[1] if forward else e[0] for e in edges
+                if (e[0] if forward else e[1]) in reached}
+        if more <= reached:
+            return reached
+        reached |= more
+
+
+@st.composite
+def term_graphs(draw, nodes=None):
+    """(nodes, edges) on a node subset of the (3,3) slice; edges labelled or not."""
+    if nodes is None:
+        nodes = draw(st.lists(st.sampled_from(SLICE33), min_size=1, unique=True))
+    ends = st.sampled_from(nodes)
+    edges = draw(st.lists(st.tuples(ends, ends, st.none() | st.integers(1, 3)),
+                          max_size=3 * len(nodes)))
+    return nodes, [e for e in edges if e[0] != e[1]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_reachability_matches_a_plain_fixpoint(data):
+    nodes, edges = data.draw(term_graphs())
+    g = graph_from_edge_list(3, nodes, edges)
+    seed = data.draw(st.lists(st.sampled_from(nodes), max_size=3))
+    assert reachable_forward(g, seed) == fixpoint(edges, seed, forward=True)
+    assert reachable_backward(g, iter(seed)) == fixpoint(edges, seed, forward=False)
+    # a second graph on the same nodes: random, or the transitive closure of g
+    shuffled = data.draw(st.permutations(nodes))
+    if data.draw(st.booleans()):
+        _, other = data.draw(term_graphs(shuffled))
+    else:
+        other = [(t, u) for t in shuffled for u in fixpoint(edges, [t], True) if u != t]
+    h = graph_from_edge_list(3, shuffled, other)
+    assert reachability_equivalent(g, h) == all(
+        fixpoint(edges, [t], True) == fixpoint(other, [t], True) for t in nodes)

@@ -8,6 +8,7 @@ import pytest
 import conedec.oracle
 
 from conedec import (
+    RelDivision,
     brute_compliant,
     compliant_closure,
     enumerate_divisions,
@@ -88,6 +89,15 @@ def test_order_ideal(idealpom, facile):
     ok, bad = verify_order_ideal(
         facile, [term(s) for s in ("x*z", "x^2", "z^2")], 3)
     assert ok
+
+
+def test_empty_support_has_nothing_to_check():
+    div = RelDivision.general(2, {})
+    for margin in (0, 3):
+        rep = verify_division_covering(div, margin)
+        assert rep.valid and rep.violations == [] and rep.notes == []
+        assert verify_ideal_equality(div, [], margin) == (True, None)
+        assert verify_order_ideal(div, [], margin) == (True, None)
 
 
 def test_oracle_rejects_foreign_members(facile):
