@@ -184,12 +184,10 @@ def cmd_closure(args) -> int:
     result = run(div, seed, args.certify)
     payload = result.report.to_json_dict()
     payload["certified"] = result.certified
-    if result.counterexample is not None:
-        bad = result.counterexample
-        if isinstance(bad, tuple) and bad and isinstance(bad[0], tuple):
-            payload["counterexample"] = [format_term(t, div.n) for t in bad]
-        else:
-            payload["counterexample"] = format_term(bad, div.n)
+    bad = result.counterexample
+    if bad is not None:  # ideal: one term; escalier: [term, divisor]
+        payload["counterexample"] = (format_term(bad, div.n) if args.mode == "ideal"
+                                     else [format_term(t, div.n) for t in bad])
     _print_json(payload)
     return 0 if result.certified else 1
 

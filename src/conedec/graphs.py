@@ -147,13 +147,14 @@ def generalized_graph(div: RelDivision) -> LabeledDigraph:
     arcs = []
     for t in range(len(terms)):
         for s in table.heads(t):
-            if reach[t] >> s & 1:
-                continue
-            arcs.append((t, s, 0))
-            gained = 1 << s | reach[s]
-            for a, r in enumerate(reach):
-                if a == t or r >> t & 1:
-                    reach[a] = r | gained
+            if not reach[t] >> s & 1:
+                arcs.append((t, s, 0))
+                reach[t] |= 1 << s | reach[s]
+        # one fold after the scan is exact: rows after t have no kept arcs yet
+        # (reach 0), and a gain made during the scan is read only via reach[t]
+        for a in range(t):
+            if reach[a] >> t & 1:
+                reach[a] |= reach[t]
     return LabeledDigraph(div.n, terms, tuple(arcs))
 
 

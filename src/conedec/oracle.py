@@ -25,14 +25,12 @@ def verify_division_covering(div: RelDivision, margin: int = 3) -> ValidationRep
     lo, hi = min(degrees), max(degrees) + margin
     for d in range(lo, hi + 1):
         for w in enumerate_terms(div.n, d):
-            if not any(term_divides(u, w) for u in div.support):
-                continue
             owners = [u for u in div.support if div.cone_contains(u, w)]
-            if not owners:
-                violations.append({"kind": "uncovered", "term": w})
-            elif len(owners) > 1:
+            if len(owners) > 1:
                 violations.append(
                     {"kind": "double-covered", "term": w, "u": owners[0], "v": owners[1]})
+            elif not owners and any(term_divides(u, w) for u in div.support):
+                violations.append({"kind": "uncovered", "term": w})
     return ValidationReport(div.n, violations)
 
 
@@ -47,7 +45,8 @@ def verify_ideal_equality(div: RelDivision, members, margin: int = 3):
     if not div.support:  # no terms, so no members and nothing to compare
         return True, None
     d0 = div.degree if div.is_full_slice else min(degree(t) for t in div.support)
-    for d in range(d0, d0 + margin + 1):
+    # at d0 both sides hold exactly the members, so the walk starts above it
+    for d in range(d0 + 1, d0 + margin + 1):
         for w in enumerate_terms(div.n, d):
             plain = any(term_divides(m, w) for m in members)
             coned = any(div.cone_contains(m, w) for m in members)

@@ -167,17 +167,18 @@ def peak_rss_mb(argv) -> tuple[int, float]:
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux only")
-@pytest.mark.parametrize("div, code, limit_mb", [
+@pytest.mark.parametrize("div, code, limit_mb, kind", [
     # every term keeps all variables: 861 terms, 370,230 overlapping pairs
     (lambda: RelDivision.on_slice(
-        3, 40, {t: frozenset({1, 2, 3}) for t in enumerate_terms(3, 40)}), 1, 60),
+        3, 40, {t: frozenset({1, 2, 3}) for t in enumerate_terms(3, 40)}), 1, 60, "redundant"),
     # the output of `conedec gen pommaret 40 2`: 820 terms, 133,250 edges
-    (lambda: pommaret_on_slice(40, 2), 0, 120),
-], ids=["refused-all-overlap-3-40", "pommaret-40-2"])
-def test_redundant_graph_memory_is_bounded(tmp_path, div, code, limit_mb):
+    (lambda: pommaret_on_slice(40, 2), 0, 120, "redundant"),
+    (lambda: pommaret_on_slice(40, 2), 0, 120, "generalized"),
+], ids=["refused-all-overlap-3-40", "pommaret-40-2", "generalized-pommaret-40-2"])
+def test_redundant_graph_memory_is_bounded(tmp_path, div, code, limit_mb, kind):
     path = tmp_path / "division.json"
     path.write_text(div().to_json())
-    got, mb = peak_rss_mb(["graph", str(path), "--kind", "redundant"])
+    got, mb = peak_rss_mb(["graph", str(path), "--kind", kind])
     assert got == code
     assert mb < limit_mb
 
@@ -211,6 +212,19 @@ def test_closure_escalier(capsys, tmp_path):
     data = json.loads(capsys.readouterr().out)
     assert data["closure"] == ["x*z", "z^2"]
     assert data["certified"] is True
+
+
+@pytest.mark.parametrize("mode, check, bad, shown", [
+    ("ideal", "verify_ideal_equality", (1, 1, 1), "x*y*z"),
+    ("escalier", "verify_order_ideal", ((1, 1, 1), (1, 1, 0)), ["x*y*z", "x*y"]),
+])
+def test_closure_failed_certificate_exits_1_with_its_counterexample(
+        capsys, monkeypatch, p32_file, mode, check, bad, shown):
+    monkeypatch.setattr(f"conedec.oracle.{check}", lambda div, members, margin: (False, bad))
+    assert main(["closure", p32_file, "x*y", "--mode", mode]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["certified"] is False
+    assert data["counterexample"] == shown
 
 
 def test_closure_compound_seed_terms(capsys, tmp_path):

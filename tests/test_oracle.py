@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+from collections import Counter
 
 import pytest
 
@@ -70,6 +71,37 @@ def test_covering_margin_zero(uncovering31):
 def test_covering_rejects_negative_margin(facile):
     with pytest.raises(ValueError):
         verify_division_covering(facile, -1)
+
+
+@pytest.fixture
+def naive_calls(monkeypatch):
+    """Counts of the oracle's two membership tests, by name."""
+    calls = Counter()
+
+    def count(owner, name):
+        f = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(owner, name, counted)
+    count(conedec.oracle, "term_divides")
+    count(RelDivision, "cone_contains")
+    return calls
+
+
+def test_ideal_equality_skips_the_slice_degree(naive_calls, pommaret32):
+    # at the slice degree both sides hold exactly the members
+    members = [term("x*y")]
+    assert verify_ideal_equality(pommaret32, members, 0) == (True, None)
+    assert naive_calls == {}
+    ok, _ = verify_ideal_equality(pommaret32, members, 1)
+    assert not ok  # x*y alone is not closed, and one degree up shows it
+
+
+def test_covering_tests_divisibility_only_where_no_cone_covers(naive_calls):
+    assert verify_division_covering(pommaret_on_slice(3, 2), 2).valid
+    assert naive_calls["term_divides"] == 0 and naive_calls["cone_contains"] > 0
 
 
 def test_ideal_equality(facile):
