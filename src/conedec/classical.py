@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .division import InvalidDivisionError, RelDivision
+from .division import RelDivision
 from .terms import Term, VarSet, degree, enumerate_terms, pure_power
 
 
@@ -70,10 +70,7 @@ def detect_pommaret(div: RelDivision) -> tuple[int, ...] | None:
     multiplicative sets form a chain under inclusion; the order is then read
     off the pure powers and confirmed by reconstruction.
     """
-    if not div.is_full_slice:
-        raise InvalidDivisionError("recognition works on full-slice assignments only")
-    if not div.is_valid:
-        raise InvalidDivisionError("recognition needs a valid assignment")
+    div.require_valid("recognition")
     sets = sorted(div.mult.values(), key=lambda m: (len(m), sorted(m)))
     for a, b in zip(sets, sets[1:]):
         if not a <= b:

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from bisect import bisect_right
 from math import comb
 
 from . import builder as builder_mod
@@ -30,8 +31,11 @@ from .terms import (
 USAGE_ERROR = 2
 
 # Largest slice gen, build and enumerate accept, and largest division file, in
-# terms: validate holds N^2 pair facts, 80-200 MB at 2,000 terms (6-64 variables).
+# terms: validate holds one N-bit landing mask per term, 24 MB at 1,953 terms.
 MAX_SLICE_TERMS = 2_000
+# Largest oracle walk (validate --oracle, closure --certify), in terms walked ×
+# support terms: about 2 s at the 0.06-4.2 µs a pair measured on a 2-core host.
+MAX_ORACLE_WORK = 500_000
 # Largest enumerate search, in terms × 2^(n-1): a term with one required
 # variable has 2^(n-1) candidate sets, listed at every search node.  The
 # largest slices enumerated to completion, (4,2), (3,4) and (5,1), are 60-80.
@@ -112,6 +116,19 @@ def _check_slice(n: int, d: int, search: bool = False) -> None:
             f" candidate sets exceeds {MAX_SEARCH_WIDTH}")
 
 
+def _check_oracle_work(option: str, margin: int, div: RelDivision, lo: int, hi: int) -> None:
+    """Refuse a walk over the terms of degree lo..hi + margin when they, times
+    the support terms, exceed MAX_ORACLE_WORK; name the largest margin that fits."""
+    n, size = div.n, len(div.support)
+    work = lambda k: (comb(hi + k + n, n) - comb(lo - 1 + n, n)) * size  # degree lo..hi + k
+    if work(margin) > MAX_ORACLE_WORK:
+        fits = bisect_right(range(margin), MAX_ORACLE_WORK, key=work) - 1
+        advice = (f"use {option} {fits}, the largest margin that fits" if fits >= 0
+                  else f"no {option} margin fits this file")
+        raise UsageError(f"{option} {margin} would test {work(margin):,} (term, support"
+                         f" term) pairs, more than {MAX_ORACLE_WORK:,}; {advice}")
+
+
 def _color_allowed() -> bool:
     return sys.stdout.isatty() and not os.environ.get("NO_COLOR")
 
@@ -135,6 +152,8 @@ def cmd_validate(args) -> int:
     div = _load_division(args.division)
     report = div.validate()
     if args.oracle is not None:
+        degrees = [sum(t) for t in div.support] or [0]
+        _check_oracle_work("--oracle", args.oracle, div, min(degrees), max(degrees))
         report = report.merged(verify_division_covering(div, args.oracle))
     _print_json(report.to_json_dict())
     return 0 if report.valid else 1
@@ -180,6 +199,8 @@ def cmd_closure(args) -> int:
     for text, t in zip(args.seed, seed):
         if t not in div.mult:
             raise UsageError(f"seed term {text} is not in the support")
+    if div.is_full_slice:  # elsewhere the closure fails before it certifies
+        _check_oracle_work("--certify", args.certify, div, div.degree + 1, div.degree)
     run = ideal_from_seed if args.mode == "ideal" else escalier_from_seed
     result = run(div, seed, args.certify)
     payload = result.report.to_json_dict()

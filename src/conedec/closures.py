@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 import json
 
-from .division import InvalidDivisionError, RelDivision
+from . import oracle
+from .division import RelDivision
 from .graphs import walk
-from .terms import Term, deglex_key, degree, format_term, term_lcm
+from .terms import Term, degree, format_term, term_lcm
 
 Witness = tuple[Term, Term, Term, Term, Term]  # added, s, t, lcm, vertex
 
@@ -42,43 +43,37 @@ class ClosureReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _prepare(div: RelDivision, seed) -> list[Term]:
-    if not div.is_full_slice:
-        raise InvalidDivisionError("closures are defined on full-slice assignments")
-    if not div.is_valid:
-        raise InvalidDivisionError("closures need a valid assignment")
-    seed = [tuple(t) for t in seed]
-    for t in seed:
-        if t not in div.mult:
-            raise LookupError(f"seed term {format_term(t, div.n)} not in the support")
-    return sorted(set(seed), key=deglex_key)
-
-
-def _reach(div: RelDivision, seed: list[Term], forward: bool) -> ClosureReport:
+def _reach(div: RelDivision, seed, forward: bool) -> ClosureReport:
     """Breadth-first reachability from the seed along the edges t -> s of the
     redundant graph (lcm(s, t) in the cone of t), forwards or backwards; one
     witness per member reached, in the order reached."""
+    div.require_valid("a closure")
     terms, table = div.support, div.pair_table
-    start = [table.row[t] for t in seed]
+    try:
+        start = sorted({table.row[tuple(t)] for t in seed})  # rows are in deg-lex order
+    except KeyError as exc:
+        bad = format_term(exc.args[0])  # named by its own length, which may not be n
+        raise LookupError(f"seed term {bad} not in the support") from None
     reached = list(walk(table.heads if forward else table.tails, start))
     witnesses: list[Witness] = []
     for b, a in reached:
         t, s = (terms[a], terms[b]) if forward else (terms[b], terms[a])
         witnesses.append((terms[b], s, t, term_lcm(s, t), t))
     members = sorted(start + [b for b, _ in reached])
-    return ClosureReport(div.n, tuple(seed), tuple(terms[i] for i in members), tuple(witnesses))
+    return ClosureReport(div.n, tuple(terms[i] for i in start),
+                         tuple(terms[i] for i in members), tuple(witnesses))
 
 
 def compliant_closure(div: RelDivision, seed) -> ClosureReport:
     """Smallest compliant superset of the seed: t joins when some member s
     puts lcm(s, t) into the cone of t itself."""
-    return _reach(div, _prepare(div, seed), forward=False)
+    return _reach(div, seed, forward=False)
 
 
 def revenant_closure(div: RelDivision, seed) -> ClosureReport:
     """Smallest revenant superset of the seed: s joins when lcm(t, s) lies in
     the cone of a member t."""
-    return _reach(div, _prepare(div, seed), forward=True)
+    return _reach(div, seed, forward=True)
 
 
 @dataclass(frozen=True)
@@ -93,20 +88,16 @@ class ClosureResult:
 def ideal_from_seed(div: RelDivision, seed, margin: int = 3) -> ClosureResult:
     """Compliant closure of the seed, certified as generating the same ideal
     slice-by-slice up to degree + margin."""
-    from .oracle import verify_ideal_equality
-
     report = compliant_closure(div, seed)
-    ok, bad = verify_ideal_equality(div, report.closure, margin)
+    ok, bad = oracle.verify_ideal_equality(div, report.closure, margin)
     return ClosureResult(report, ok, bad)
 
 
 def escalier_from_seed(div: RelDivision, seed, margin: int = 3) -> ClosureResult:
     """Revenant closure of the seed, certified as cutting out an order-ideal
     complement up to degree + margin."""
-    from .oracle import verify_order_ideal
-
     report = revenant_closure(div, seed)
-    ok, bad = verify_order_ideal(div, report.closure, margin)
+    ok, bad = oracle.verify_order_ideal(div, report.closure, margin)
     return ClosureResult(report, ok, bad)
 
 

@@ -21,6 +21,7 @@ import json
 from .terms import (
     Term,
     VarSet,
+    at_most_masks,
     deglex_key,
     degree,
     format_term,
@@ -28,11 +29,9 @@ from .terms import (
     parse_term,
     parse_varset,
     pure_power,
-    quotient_masks,
     sigma_expected,
     term_lcm,
     var_names,
-    varmask,
 )
 
 # Largest variable count a division file may declare: loading costs time and
@@ -94,23 +93,20 @@ class ValidationReport:
 
 
 class PairTable(NamedTuple):
-    """Pair facts of a support, rows and columns in support order, variable
-    sets as varmasks.  Row t "lands" on row s when lcm(t_s, t_t) lies in the
-    cone of t_t, that is, when quot[s][t] sits inside mult[t]."""
+    """Pair facts of a support, rows in support order.  Row t "lands" on row
+    s when lcm(t_s, t_t) lies in the cone of t_t, that is, when s has no larger
+    exponent than t at any non-multiplicative variable of t."""
 
-    row: dict[Term, int]                # term -> its position in the support
-    quot: tuple[tuple[int, ...], ...]   # quot[i][j]: variables of t_i / gcd(t_i, t_j)
-    mult: tuple[int, ...]               # mult[i]: M(t_i)
+    row: dict[Term, int]        # term -> its position in the support
+    lands: tuple[int, ...]      # lands[t]: bitmask of the rows s != t that t lands on
 
     def heads(self, t: int) -> list[int]:
-        """Rows s != t on which t lands."""
-        outside = ~self.mult[t]
-        return [s for s, q in enumerate(self.quot) if s != t and not q[t] & outside]
+        """Rows s != t on which t lands, in row order."""
+        return [s for s, b in enumerate(bin(self.lands[t])[:1:-1]) if b == "1"]
 
     def tails(self, s: int) -> list[int]:
         """Rows t != s that land on s."""
-        q = self.quot[s]
-        return [t for t, m in enumerate(self.mult) if t != s and not q[t] & ~m]
+        return [t for t, m in enumerate(self.lands) if m >> s & 1]
 
 
 @dataclass(frozen=True)
@@ -240,11 +236,19 @@ class RelDivision:
 
     @cached_property
     def pair_table(self) -> PairTable:
-        return PairTable(
-            {t: i for i, t in enumerate(self.support)},
-            quotient_masks(self.support),
-            tuple(varmask(self.mult[t]) for t in self.support),
-        )
+        terms, at_most = self.support, at_most_masks(self.support)
+        lands = [(1 << len(terms)) - 1 ^ 1 << r for r in range(len(terms))]
+        for r, t in enumerate(terms):
+            for i in self.nonmultiplicative_set(t):  # s lands where s_i <= t_i
+                lands[r] &= at_most[i - 1][t[i - 1]]
+        return PairTable({t: i for i, t in enumerate(terms)}, tuple(lands))
+
+    def require_valid(self, what: str, full_slice: bool = True) -> None:
+        """Raise InvalidDivisionError for what unless valid (and a full slice if full_slice)."""
+        if full_slice and not self.is_full_slice:
+            raise InvalidDivisionError(f"{what} needs a full-slice assignment")
+        if not self.is_valid:
+            raise InvalidDivisionError(f"{what} needs a valid assignment")
 
     @cached_property
     def is_valid(self) -> bool:
@@ -268,11 +272,10 @@ class RelDivision:
         matching the expected one, so validity is decided completely; on a
         general set coverage is not certified here (see the covering oracle).
         """
-        terms = self.support
-        quot, mult = self.pair_table.quot, self.pair_table.mult
+        terms, table = self.support, self.pair_table
         for i, u in enumerate(terms):
-            for j in range(i + 1, len(terms)):
-                if not quot[j][i] & ~mult[i] and not quot[i][j] & ~mult[j]:
+            for j in table.heads(i):
+                if j > i and table.lands[j] >> i & 1:  # landing both ways
                     v = terms[j]
                     yield {"kind": "overlap", "u": u, "v": v, "witness": term_lcm(u, v)}
         if not self.is_full_slice:

@@ -12,7 +12,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 import io
 
-from .division import InvalidDivisionError, RelDivision
+from .division import RelDivision
 from .terms import Term, deglex_key, format_term, var_names
 
 @dataclass(frozen=True)
@@ -98,36 +98,29 @@ def reachability_equivalent(g1: LabeledDigraph, g2: LabeledDigraph) -> bool:
         reachable_forward(g1, [t]) == reachable_forward(g2, [t]) for t in g1.nodes)
 
 
-def _require_valid(div: RelDivision, full_slice: bool) -> None:
-    if full_slice and not div.is_full_slice:
-        raise InvalidDivisionError("this construction needs a full-slice assignment")
-    if not div.is_valid:
-        raise InvalidDivisionError("this construction needs a valid assignment")
-
-
 def ufnarovsky_graph(div: RelDivision) -> LabeledDigraph:
     """Edge t ->x_j s when multiplying s by its non-multiplicative x_j lands
     in the cone of t.
 
-    These are the edges t -> s of the redundant graph between neighbours
-    t = s*x_j/x_k: there lcm(s, t) = s*x_j lies in the cone of t, and on a
-    valid assignment x_j is then non-multiplicative for s."""
-    _require_valid(div, full_slice=True)
-    terms, table = div.support, div.pair_table
+    Then t = s*x_j/x_k, and s*x_j = lcm(s, t) exceeds t only at x_k, so x_k
+    is in M(t): the heads of t are the t*x_k/x_j for x_j | t and x_k in M(t),
+    k != j.  On a valid assignment x_j is then non-multiplicative for s."""
+    div.require_valid("this construction")
+    terms, row = div.support, div.pair_table.row
     arcs = []
     for t, u in enumerate(terms):
-        for s in table.heads(t):
-            q = table.quot[t][s]  # the variables where u exceeds terms[s]
-            j = q.bit_length()
-            if q == 1 << j - 1 and u[j - 1] == terms[s][j - 1] + 1:
-                arcs.append((t, s, j))
-    return LabeledDigraph(div.n, terms, tuple(arcs))
+        for j in (j for j in range(1, div.n + 1) if u[j - 1]):
+            for k in div.mult[u] - {j}:  # s = t*x_k/x_j
+                s = list(u)
+                s[j - 1], s[k - 1] = s[j - 1] - 1, s[k - 1] + 1
+                arcs.append((t, row[tuple(s)], j))
+    return LabeledDigraph(div.n, terms, tuple(sorted(arcs)))
 
 
 def redundant_graph(div: RelDivision) -> LabeledDigraph:
     """Unlabeled edge t -> s for every ordered pair whose lcm falls in the
     cone of t."""
-    _require_valid(div, full_slice=False)
+    div.require_valid("this construction", full_slice=False)
     terms, table = div.support, div.pair_table
     arcs = tuple((t, s, 0) for t in range(len(terms)) for s in table.heads(t))
     return LabeledDigraph(div.n, terms, arcs)
@@ -140,7 +133,7 @@ def generalized_graph(div: RelDivision) -> LabeledDigraph:
     only when its head is not already reachable from its tail.  Minimality is
     not promised, only reachability equivalence.
     """
-    _require_valid(div, full_slice=True)
+    div.require_valid("this construction")
     terms, table = div.support, div.pair_table
     # reach[a]: bitmask of the rows reachable from row a along kept edges
     reach = [0] * len(terms)

@@ -34,19 +34,24 @@ def verify_division_covering(div: RelDivision, margin: int = 3) -> ValidationRep
     return ValidationReport(div.n, violations)
 
 
-def verify_ideal_equality(div: RelDivision, members, margin: int = 3):
-    """Do the cones of the member terms cut out, slice by slice, the same set
-    as ordinary divisibility by the members?  Checked for degrees up to the
-    slice degree + margin; returns (ok, counterexample)."""
+def _walk_plan(div: RelDivision, members, margin: int) -> tuple[list[Term], range]:
+    """The members, checked to be in the support, and the degrees a certificate
+    walks: above the slice (or lowest support) degree d0, where both sides
+    hold exactly the members, up to d0 + margin; none on an empty support."""
     members = [tuple(t) for t in members]
     for t in members:
         if t not in div.mult:
             raise LookupError(f"member {t} not in the support")
-    if not div.support:  # no terms, so no members and nothing to compare
-        return True, None
-    d0 = div.degree if div.is_full_slice else min(degree(t) for t in div.support)
-    # at d0 both sides hold exactly the members, so the walk starts above it
-    for d in range(d0 + 1, d0 + margin + 1):
+    d0 = div.degree if div.is_full_slice else min(map(degree, div.support), default=0)
+    return members, range(d0 + 1, d0 + margin + 1) if div.support else range(0)
+
+
+def verify_ideal_equality(div: RelDivision, members, margin: int = 3):
+    """Do the cones of the member terms cut out, slice by slice, the same set
+    as ordinary divisibility by the members?  Checked for degrees up to the
+    slice degree + margin; returns (ok, counterexample)."""
+    members, degrees = _walk_plan(div, members, margin)
+    for d in degrees:
         for w in enumerate_terms(div.n, d):
             plain = any(term_divides(m, w) for m in members)
             coned = any(div.cone_contains(m, w) for m in members)
@@ -63,19 +68,13 @@ def verify_order_ideal(div: RelDivision, members, margin: int = 3):
     Only the divisors w / x_i of covered terms w above the slice degree are
     tested: any divisor of w of degree >= the slice degree is reached from w
     by dropping one variable at a time through terms of the tested range."""
-    members = [tuple(t) for t in members]
-    for t in members:
-        if t not in div.mult:
-            raise LookupError(f"member {t} not in the support")
-    if not div.support:  # no terms, so no members and no cones
-        return True, None
-    d0 = div.degree if div.is_full_slice else min(degree(t) for t in div.support)
+    members, degrees = _walk_plan(div, members, margin)
 
     @cache
     def covered(w: Term) -> bool:
         return any(div.cone_contains(m, w) for m in members)
 
-    for d in range(d0 + 1, d0 + margin + 1):
+    for d in degrees:
         for w in enumerate_terms(div.n, d):
             if not covered(w):
                 continue
@@ -90,10 +89,7 @@ def verify_order_ideal(div: RelDivision, members, margin: int = 3):
 def brute_compliant(div: RelDivision, seed) -> frozenset[Term]:
     """Fixpoint of the defining rule taken literally: for every member t and
     every support term s, the cone vertex of lcm(s, t) joins the set."""
-    members = {tuple(t) for t in seed}
-    for t in members:
-        if t not in div.mult:
-            raise LookupError(f"seed term {t} not in the support")
+    members = set(_walk_plan(div, seed, 0)[0])
     todo = sorted(members, key=deglex_key)
     for t in todo:  # grows while it is walked
         for s in div.support:

@@ -77,19 +77,17 @@ def varmask(m) -> int:
     return sum(1 << (i - 1) for i in m)
 
 
-def quotient_masks(terms) -> tuple[tuple[int, ...], ...]:
-    """Row i, column j: the varmask of the support of t_i / gcd(t_i, t_j), that
-    is, of the variables in which t_i has the larger exponent."""
-    rows = [[0] * len(terms) for _ in terms]
-    for k in range(len(terms[0]) if terms else 0):
-        bit = 1 << k
-        column = [t[k] for t in terms]
-        for row, a in zip(rows, column):
-            if a:
-                for j, c in enumerate(column):
-                    if a > c:
-                        row[j] |= bit
-    return tuple(map(tuple, rows))
+def at_most_masks(terms) -> list[dict[int, int]]:
+    """Entry i maps each exponent e that x_{i+1} takes among the terms to the
+    bitmask (bit k for terms[k]) of the terms with exponent at most e there."""
+    out = []
+    for column in zip(*terms):  # one variable's exponents, in term order
+        exact: dict[int, int] = {}
+        for k, e in enumerate(column):
+            exact[e] = exact.get(e, 0) | 1 << k
+        below = 0
+        out.append({e: (below := below | exact[e]) for e in sorted(exact)})
+    return out
 
 
 def min_var(t: Term) -> int:

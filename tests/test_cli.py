@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conedec import RelDivision, enumerate_terms, pommaret_general, pommaret_on_slice
-from conedec.cli import MAX_SLICE_TERMS, main
+from conedec.cli import MAX_ORACLE_WORK, MAX_SLICE_TERMS, main
 from conedec.division import make_division
 
 
@@ -102,6 +102,34 @@ def test_validate_empty_support_with_oracle(capsys, tmp_path):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("text, argv, advice", [
+    # degrees 1..1000 in 2 variables against 2 terms: 1,003,000 pairs at margin 0
+    (lambda: '{"n": 2, "multiplicative": {"x": ["x"], "y^1000": ["y"]}}',
+     ["validate", "F", "--oracle", "0"], "no --oracle margin fits this file"),
+    # degrees 3..5 in 40 variables against 820 terms; margin 1 alone is 9.4 M pairs
+    (lambda: pommaret_on_slice(40, 2).to_json(), ["closure", "F", "x1^2"],
+     "use --certify 0, the largest margin that fits"),
+    # degrees 5..7 in 7 variables against 210 terms: 651,420 pairs; 5..6: 291,060
+    (lambda: pommaret_on_slice(7, 4).to_json(), ["closure", "F", "x1^4", "--mode", "escalier"],
+     "use --certify 2, the largest margin that fits"),
+], ids=["validate-y1000", "closure-pommaret-40-2", "closure-pommaret-7-4"])
+def test_oracle_walk_over_the_bound_is_refused_before_it_starts(
+        capsys, monkeypatch, tmp_path, text, argv, advice):
+    def walked(*args):
+        raise AssertionError("the oracle walked")
+
+    for name in ("verify_division_covering", "verify_ideal_equality", "verify_order_ideal"):
+        monkeypatch.setattr(f"conedec.oracle.{name}", walked)
+    monkeypatch.setattr("conedec.cli.verify_division_covering", walked)
+    path = tmp_path / "division.json"
+    path.write_text(text())
+    assert main([str(path) if a == "F" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"more than {MAX_ORACLE_WORK:,}; {advice}" in captured.err
+
+
 def test_validate_missing_file(capsys, tmp_path):
     assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
@@ -167,18 +195,25 @@ def peak_rss_mb(argv) -> tuple[int, float]:
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux only")
-@pytest.mark.parametrize("div, code, limit_mb, kind", [
+@pytest.mark.parametrize("div, argv, code, limit_mb", [
     # every term keeps all variables: 861 terms, 370,230 overlapping pairs
     (lambda: RelDivision.on_slice(
-        3, 40, {t: frozenset({1, 2, 3}) for t in enumerate_terms(3, 40)}), 1, 60, "redundant"),
+        3, 40, {t: frozenset({1, 2, 3}) for t in enumerate_terms(3, 40)}),
+     ["graph", "F", "--kind", "redundant"], 1, 60),
     # the output of `conedec gen pommaret 40 2`: 820 terms, 133,250 edges
-    (lambda: pommaret_on_slice(40, 2), 0, 120, "redundant"),
-    (lambda: pommaret_on_slice(40, 2), 0, 120, "generalized"),
-], ids=["refused-all-overlap-3-40", "pommaret-40-2", "generalized-pommaret-40-2"])
-def test_redundant_graph_memory_is_bounded(tmp_path, div, code, limit_mb, kind):
+    (lambda: pommaret_on_slice(40, 2), ["graph", "F", "--kind", "redundant"], 0, 120),
+    (lambda: pommaret_on_slice(40, 2), ["graph", "F", "--kind", "generalized"], 0, 120),
+    # `conedec gen pommaret 62 2`: 1,953 terms, one 1,953-bit landing mask each
+    (lambda: pommaret_on_slice(62, 2), ["validate", "F"], 0, 60),
+    (lambda: pommaret_on_slice(62, 2),
+     ["closure", "F", "x1*x5", "x40^2", "--certify", "0"], 0, 60),
+    (lambda: pommaret_on_slice(62, 2), ["graph", "F", "--kind", "redundant"], 0, 180),
+], ids=["refused-all-overlap-3-40", "pommaret-40-2", "generalized-pommaret-40-2",
+        "validate-pommaret-62-2", "closure-pommaret-62-2", "redundant-pommaret-62-2"])
+def test_redundant_graph_memory_is_bounded(tmp_path, div, argv, code, limit_mb):
     path = tmp_path / "division.json"
     path.write_text(div().to_json())
-    got, mb = peak_rss_mb(["graph", str(path), "--kind", kind])
+    got, mb = peak_rss_mb([str(path) if a == "F" else a for a in argv])
     assert got == code
     assert mb < limit_mb
 

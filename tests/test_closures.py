@@ -91,6 +91,10 @@ def test_closure_of_everything_is_everything(facile):
 def test_closure_rejects_foreign_seed(facile):
     with pytest.raises(LookupError):
         compliant_closure(facile, [term("x^3")])
+    # a term in four variables is named, not an IndexError
+    for close in (compliant_closure, revenant_closure):
+        with pytest.raises(LookupError, match="seed term t not in the support"):
+            close(facile, [(0, 0, 0, 1)])
 
 
 def test_closure_requires_valid_slice(uncovering31):

@@ -144,16 +144,41 @@ def test_validate_matches_gcd_rule(bases, data):
     assert div.is_valid == fresh_is_valid == report.valid
 
 
-@SETTINGS
-@given(st.data())
-def test_validate_matches_gcd_rule_on_general_supports(data):
+def general(data) -> RelDivision:
+    """Janet's rule on a random set of terms of degrees 1..3 in 3 variables,
+    one time in two with one row mutated."""
     terms = data.draw(st.sets(st.sampled_from(
         [t for d in (1, 2, 3) for t in enumerate_terms(3, d)]), min_size=1, max_size=8))
     div = janet_general(terms, 3)
-    if data.draw(st.booleans()):
-        div = mutated(data, div)
+    return mutated(data, div) if data.draw(st.booleans()) else div
+
+
+@SETTINGS
+@given(st.data())
+def test_validate_matches_gcd_rule_on_general_supports(data):
+    div = general(data)
     report = div.validate()
     assert [v for v in report.violations if v["kind"] == "overlap"] == overlaps_by_gcd(div)
+
+
+@SETTINGS
+@given(st.data())
+def test_heads_and_tails_match_the_landing_rule(bases, data):
+    """t lands on s when lcm(s, t) lies in the cone of t, taken literally."""
+    kind = data.draw(st.sampled_from(["relabelled", "mutated", "general"]))
+    if kind == "general":
+        div = general(data)
+    else:
+        div = relabelled(data, bases)
+        div = mutated(data, div) if kind == "mutated" else div
+    terms, table = div.support, div.pair_table
+
+    def lands(t, s):
+        return s != t and div.cone_contains(t, term_lcm(s, t))
+
+    for r, u in enumerate(terms):
+        assert table.heads(r) == [s for s, v in enumerate(terms) if lands(u, v)]
+        assert table.tails(r) == [t for t, v in enumerate(terms) if lands(v, u)]
 
 
 @SETTINGS

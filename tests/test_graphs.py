@@ -224,21 +224,27 @@ def test_graph_output_is_ordered_as_by_deglex_keys():
 TermGraph = namedtuple("TermGraph", "n nodes edges")  # edges: frozenset of term triples
 
 
+def lands(div, t, s) -> bool:
+    """t lands on s: the literal rule, lcm(s, t) in the cone of t."""
+    return s != t and div.cone_contains(t, term_lcm(s, t))
+
+
 def term_triple_graph(div, kind: str) -> TermGraph:
     """Each graph kind as a frozenset of (tail, head, label) term triples."""
-    terms, table = div.support, div.pair_table
+    terms = div.support
     edges, reach = set(), [0] * len(terms)
     for t, u in enumerate(terms):
-        for s in table.heads(t):
+        for s, v in enumerate(terms):
+            if not lands(div, u, v):
+                continue
             if kind == "ufnarovsky":
-                q = table.quot[t][s]
-                j = q.bit_length()
-                if q == 1 << j - 1 and u[j - 1] == terms[s][j - 1] + 1:
-                    edges.add((u, terms[s], j))
+                up = [i for i in range(div.n) if u[i] > v[i]]  # where u exceeds v
+                if len(up) == 1 and u[up[0]] == v[up[0]] + 1:
+                    edges.add((u, v, up[0] + 1))
             elif kind == "redundant":
-                edges.add((u, terms[s], None))
+                edges.add((u, v, None))
             elif not reach[t] >> s & 1:
-                edges.add((u, terms[s], None))
+                edges.add((u, v, None))
                 gained = 1 << s | reach[s]
                 for a, r in enumerate(reach):
                     if a == t or r >> t & 1:
@@ -247,18 +253,18 @@ def term_triple_graph(div, kind: str) -> TermGraph:
 
 
 def queue_closure(div, seed, forward: bool):
-    """Closure members and witnesses by the breadth-first loop over the pair
-    table: members expanded in the order they joined, neighbours in row order."""
-    terms, table = div.support, div.pair_table
-    step = table.heads if forward else table.tails
-    order = [table.row[t] for t in sorted(set(seed), key=deglex_key)]
+    """Closure members and witnesses by the breadth-first loop over landing
+    pairs: members expanded in the order they joined, neighbours in support
+    order."""
+    terms = div.support
+    order = [terms.index(t) for t in sorted(set(seed), key=deglex_key)]
     members, witnesses = set(order), []
     for a in order:
-        for b in step(a):
-            if b not in members:
+        for b in range(len(terms)):
+            t, s = (terms[a], terms[b]) if forward else (terms[b], terms[a])
+            if b not in members and lands(div, t, s):
                 members.add(b)
                 order.append(b)
-                t, s = (terms[a], terms[b]) if forward else (terms[b], terms[a])
                 witnesses.append((terms[b], s, t, term_lcm(s, t), t))
     return tuple(terms[i] for i in sorted(members)), tuple(witnesses)
 

@@ -161,5 +161,6 @@ def test_oracle_reads_only_the_naive_surface_of_a_division():
     used |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
              for alias in node.names}
     assert "cone_contains" in used
-    assert not used & {"pair_table", "PairTable", "quotient_masks",
+    assert not used & {"pair_table", "PairTable", "quotient_masks", "at_most_masks",
+                       "landing_masks", "lands", "heads", "tails",
                        "is_valid", "validate", "_violations"}
