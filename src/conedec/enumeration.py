@@ -175,37 +175,47 @@ def _serialize(div: RelDivision) -> bytes:
     ).encode("ascii")
 
 
-def _renamed_forms(div: RelDivision):
-    """_serialize(div.permuted(pi)) for every renaming pi, without building
-    the renamed divisions: on a full slice, pi only moves rows to the
-    positions of the renamed terms and renames the variables of each row."""
+def _least_form(div: RelDivision, below_own: bool = False):
+    """Rows of the least renamed form and how many renamings give it, which is
+    the size of div's stabilizer (each form of the orbit is given by as many).
+    Each renaming is read only up to its first row that differs from the least
+    so far.  With below_own, None as soon as one falls below the own form."""
     if not div.is_full_slice:
         raise ValueError("canonical forms are defined on full-slice assignments")
-    row = {t: k for k, t in enumerate(div.support)}
-    for pi in permutations(range(1, div.n + 1)):
-        source = [0] * div.n  # source[j]: the variable renamed to x_{j+1}
-        for i, v in enumerate(pi):
-            source[v - 1] = i
-        labels: dict[VarSet, str] = {}
-        rows = [""] * len(div.support)
-        for t, m in div.mult.items():
+
+    def rows(pi):  # of div.permuted(pi); ';' ends every row but the last, so
+        labels: dict[VarSet, str] = {}  # lists compare like the joined bytes
+        for u in div.support:  # row u takes the set of the source term u∘pi
+            m = div.mult[tuple([u[p - 1] for p in pi])]
             if m not in labels:
-                labels[m] = ",".join(str(v) for v in sorted(pi[i - 1] for i in m))
-            rows[row[tuple(t[i] for i in source)]] = labels[m]
-        yield ";".join(rows).encode("ascii")
+                labels[m] = ",".join(str(v) for v in sorted(pi[i - 1] for i in m)) + ";"
+            yield labels[m] if u is not div.support[-1] else labels[m][:-1]
+
+    renamings = map(rows, permutations(range(1, div.n + 1)))
+    least, ties = list(next(renamings)), 1  # the identity comes first
+    for new in renamings:
+        for k, (r, b) in enumerate(zip(new, least)):
+            if r > b:
+                break
+            if r < b:  # a new least: read its rest, then zip ends on a tie
+                if below_own:
+                    return None
+                least[k:], ties = [r, *new], 0
+        else:
+            ties += 1
+    return least, ties
 
 
 def canonical_form(div: RelDivision) -> bytes:
     """Minimum over all variable renamings of the serialized assignment;
     constant on a renaming orbit, distinct across orbits."""
-    return min(_renamed_forms(div))
+    return "".join(_least_form(div)[0]).encode("ascii")
 
 
 def orbit_size(div: RelDivision) -> int:
     """Number of distinct renamings of div: n! over the size of its
     stabilizer, the renamings that leave its serialization unchanged."""
-    own = _serialize(div)
-    return factorial(div.n) // sum(form == own for form in _renamed_forms(div))
+    return factorial(div.n) // _least_form(div)[1]
 
 
 def enumerate_divisions(n: int, d: int, up_to_symmetry: bool = False):
@@ -254,6 +264,6 @@ def enumerate_divisions(n: int, d: int, up_to_symmetry: bool = False):
               for pa in dfs(seed, min)]
     for pa in dfs(seed, max, leaves):
         div = RelDivision.on_slice(n, d, dict(pa.assigned))
-        if up_to_symmetry and canonical_form(div) != _serialize(div):
+        if up_to_symmetry and _least_form(div, below_own=True) is None:
             continue
         yield div

@@ -160,6 +160,23 @@ def test_enumerate_33_stream_is_unchanged(capsys):
         "0fc1dc97b3bd05455f5a5f848a0df7c0d57f5fcb526207eb5d22858d8dd5edfb")
 
 
+def test_enumerate_61_orbits_is_one_orbit_of_720(capsys):
+    assert main(["enumerate", "6", "1", "--orbits"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert RelDivision.from_json(lines[0]).validate().valid
+    assert lines[1] == '{"count":1,"orbit_sizes":[720]}'
+
+
+@pytest.mark.parametrize("n,digest", [
+    (4, "249b7be6e2fca7d2bd8bec7374ab714806294535ffaa010e04e4a1fe8c1c609a"),
+    (5, "fa36d361c1009f4732fc12b4a1309e21a217f74fe6334a7c15dd6870d012d465"),
+])
+def test_enumerate_degree_one_orbit_streams_are_unchanged(capsys, n, digest):
+    assert main(["enumerate", str(n), "1", "--orbits"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_graph_dot(capsys, p32_file):
     assert main(["graph", p32_file]) == 0
     dot = capsys.readouterr().out

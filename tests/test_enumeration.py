@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,7 +19,7 @@ from conedec import (
     seed_constraints,
     sigma_expected,
 )
-from conedec.enumeration import _renamed_forms, _serialize
+from conedec.enumeration import _least_form, _serialize
 from conedec.terms import format_term, support, term_div, term_gcd
 
 from conftest import orbit_divisions_32, term
@@ -164,7 +164,7 @@ def test_burnside_count_of_orbits(n, d, orbits):
 
 def test_orbit_size_counts_distinct_renamings():
     for div in enumerate_divisions(3, 2):
-        assert orbit_size(div) == len(set(_renamed_forms(div)))
+        assert orbit_size(div) == len(set(renamed_forms(div)))
 
 
 def test_representatives_attain_their_canonical_form():
@@ -411,3 +411,63 @@ def test_propagation_matches_fixpoint_reference(slice_, data):
         if got is not None:
             assert state_of(got) == state_of(want)
             new, old = got, want
+
+
+# -- canonical forms against the n! reference ------------------------------
+
+def renamed_forms(div):
+    """The reference: every renaming of div built in full and serialized."""
+    return [_serialize(div.permuted(pi)) for pi in permutations(range(1, div.n + 1))]
+
+
+def assert_matches_renamed_forms(div):
+    forms = renamed_forms(div)
+    assert canonical_form(div) == min(forms)
+    assert orbit_size(div) == len(set(forms))
+    assert (_least_form(div, below_own=True) is not None) == (_serialize(div) == min(forms))
+
+
+def all_assignments(n, d):
+    """Every assignment of arbitrary (also empty) sets on the degree-d slice."""
+    terms = enumerate_terms(n, d)
+    sets = [frozenset(c) for r in range(n + 1) for c in combinations(range(1, n + 1), r)]
+    for choice in product(sets, repeat=len(terms)):
+        yield RelDivision.on_slice(n, d, dict(zip(terms, choice)))
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (2, 2)])
+def test_canonical_forms_match_renamed_forms_on_every_assignment(n, d):
+    # covers the rows that differ only in the last one, where one label is a
+    # prefix of the other ("1" against "1,2", or the empty set against any)
+    for div in all_assignments(n, d):
+        assert_matches_renamed_forms(div)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_canonical_forms_match_renamed_forms_on_arbitrary_assignments(data):
+    n, d = data.draw(st.sampled_from([(3, 2), (4, 1)]))  # smaller slices: every assignment
+    terms = enumerate_terms(n, d)
+    sets = st.frozensets(st.integers(1, n))
+    div = RelDivision.on_slice(n, d, {t: data.draw(sets) for t in terms})
+    assert_matches_renamed_forms(div)
+
+
+def test_canonical_forms_match_renamed_forms_on_33_leaves():
+    for div in enumerate_divisions(3, 3):
+        assert_matches_renamed_forms(div)
+
+
+@pytest.mark.parametrize("n,order", [(5, (3, 5, 1, 4, 2)), (5, (2, 1, 4, 5, 3)),
+                                     (6, (4, 2, 6, 1, 5, 3)), (6, (6, 5, 4, 3, 2, 1))])
+def test_canonical_forms_match_renamed_forms_on_relabelled_pommaret(n, order):
+    assert_matches_renamed_forms(pommaret_on_slice(n, 4).permuted(order))
+
+
+@pytest.mark.parametrize("support", [[(2, 0), (1, 1)], [(2, 0), (0, 2)]])
+def test_canonical_forms_need_a_full_slice(support):
+    # the second support is closed under renaming, so only the check can refuse it
+    div = RelDivision.general(2, {t: {1} for t in support})
+    for fn in (canonical_form, orbit_size, lambda div: _least_form(div, below_own=True)):
+        with pytest.raises(ValueError, match="full-slice"):
+            fn(div)
