@@ -21,14 +21,14 @@ class ScriptError(Exception):
 
 
 def _settle(state: PartialAssignment) -> PartialAssignment:
-    """state completed with the forced sets when every open term has all its
-    variables forced, else state.  Filling a term in leaves the forced sets of
-    the others as they are, so one pass completes it or raises ConflictError."""
+    """state completed with the required sets when every open term has all its
+    variables required or forced out, else state.  Filling a term in leaves
+    the others' rows as they are, so one pass completes it or raises."""
     todo = state.unassigned()
-    if any(len(state.forced_in[t]) + len(state.forced_out[t]) < state.n for t in todo):
+    if any(len(state.required(t)) + len(state.forced_out[t]) < state.n for t in todo):
         return state
     for t in todo:
-        state = state.assign(t, frozenset(state.forced_in[t]))
+        state = state.assign(t, state.required(t))
     return state
 
 
@@ -68,9 +68,9 @@ class BuildSession:
     # -- rendering ---------------------------------------------------------
 
     def cell_state(self, t: Term, v: int) -> str:
-        if v in self.state.forced_in[t]:
+        if v in self.state.required(t):
             return CELL_IN
-        if v in self.state.forced_out[t]:
+        if t in self.state.assigned or v in self.state.forced_out[t]:
             return CELL_OUT
         if any(v in g for g in self.state.groups[t]):
             return CELL_GROUP

@@ -17,7 +17,7 @@ from . import builder as builder_mod
 from .classical import janet_on_slice, pommaret_on_slice
 from .closures import escalier_from_seed, ideal_from_seed
 from .division import MAX_VARS, DivisionError, InvalidDivisionError, RelDivision
-from .enumeration import ConflictError, canonical_form, enumerate_divisions, orbit_size
+from .enumeration import ConflictError, enumerate_divisions, orbit_size
 from .graphs import generalized_graph, redundant_graph, ufnarovsky_graph
 from .oracle import verify_division_covering
 from .terms import (

@@ -1,7 +1,7 @@
 """Exhaustive search for valid assignments on a full degree slice.
 
 The search assigns multiplicative sets term by term under three kinds of
-constraints: variables forced in or out for a term, "not all of these
+constraints: variables required or forced out for a term, "not all of these
 variables together" groups coming from the pairwise disjointness criterion,
 and a global budget fixing how many terms may receive each set size (the
 expected profile).  Together these make the leaves of the search tree exactly
@@ -20,7 +20,6 @@ from .terms import (
     VarSet,
     enumerate_terms,
     format_term,
-    pure_power,
     sigma_expected,
     support,
     term_div,
@@ -37,19 +36,18 @@ class ConflictError(Exception):
 class PartialAssignment:
     """Search state; assign() returns a new state (copy-on-branch).
 
-    Two invariants keep propagation to one pass.  The required set of an open
-    term is fixed at seeding (empty, or {i} for the pure power x_i^D); its row
-    is replaced when the term is assigned, never changed in place.  And each
-    pair of terms is constrained when the first of the two is assigned: the
-    open one gets a forced-out variable or a group, which assign() checks
-    before accepting its set, so assigned terms are never revisited."""
+    Rows are immutable and shared: a forced_out row is a frozenset and a
+    groups row a tuple, replaced and never changed in place, so copy() copies
+    no row.  Required sets are derived by required(), not stored.  Each pair
+    of terms is constrained when the first of the two is assigned: the open
+    one gets a forced-out variable or a group, which assign() checks before
+    accepting its set, so the rows of assigned terms are never read."""
 
     n: int
     d: int
     support: tuple[Term, ...]
-    forced_in: dict[Term, set[int]]
-    forced_out: dict[Term, set[int]]
-    groups: dict[Term, list[VarSet]]
+    forced_out: dict[Term, VarSet]
+    groups: dict[Term, tuple[VarSet, ...]]
     assigned: dict[Term, VarSet]
     budget: list[int]  # budget[k] = terms still allowed to get a size-k set; [0] unused
 
@@ -58,9 +56,8 @@ class PartialAssignment:
             self.n,
             self.d,
             self.support,
-            dict(self.forced_in),  # rows are replaced, never mutated
-            {t: set(s) for t, s in self.forced_out.items()},
-            {t: list(gs) for t, gs in self.groups.items()},
+            dict(self.forced_out),
+            dict(self.groups),
             dict(self.assigned),
             list(self.budget),
         )
@@ -68,59 +65,68 @@ class PartialAssignment:
     def unassigned(self) -> list[Term]:
         return [t for t in self.support if t not in self.assigned]
 
+    def required(self, t: Term) -> VarSet:
+        """Variables M(t) must contain: its set once assigned, else those at
+        the full degree (x_i for x_i^D, none for other terms, all at D = 0)."""
+        if t in self.assigned:
+            return self.assigned[t]
+        return frozenset(i for i, e in enumerate(t, start=1) if e == self.d)
+
+    def _sizes(self, t: Term, base: VarSet) -> list[int]:
+        """Sizes with budget left that t, requiring base, may take; largest first."""
+        return [k for k in range(self.n - len(self.forced_out[t]), max(1, len(base)) - 1, -1)
+                if self.budget[k] > 0]
+
     def candidates(self, t: Term) -> list[VarSet]:
         """Possible multiplicative sets for t under the current constraints,
         largest first, lexicographic on ties (combinations of the sorted free
         variables added to a fixed base come out in that order)."""
         if t in self.assigned:
             return [self.assigned[t]]
-        base = frozenset(self.forced_in[t])
+        base = self.required(t)
         free = sorted(set(range(1, self.n + 1)) - base - self.forced_out[t])
         out = []
-        for extra in range(len(free), -1, -1):
-            size = len(base) + extra
-            if size < 1 or self.budget[size] <= 0:
-                continue
-            for combo in combinations(free, extra):
+        for size in self._sizes(t, base):
+            for combo in combinations(free, size - len(base)):
                 m = base | frozenset(combo)
                 if not any(g <= m for g in self.groups[t]):
                     out.append(m)
         return out
 
-    # -- constraint plumbing (mutating; used on fresh copies only) ---------
+    # -- constraint plumbing (replaces rows of fresh copies only) ----------
 
     def _feasible(self, t: Term) -> None:
-        lo = max(1, len(self.forced_in[t]))
-        hi = self.n - len(self.forced_out[t])
-        if not any(self.budget[k] > 0 for k in range(lo, hi + 1)):
+        if not self._sizes(t, self.required(t)):
             raise ConflictError(
                 f"no admissible set size left for {format_term(t, self.n)}")
 
     def _not_superset(self, t: Term, a: VarSet) -> None:
         """Record that M(t) must not contain all of a, for an open term t.
-        The residue a - forced_in[t] is never empty (forced_in[t] is empty,
+        The residue a - required(t) is never empty (the required set is empty,
         or {i} for t = x_i^D, and then a holds a variable other than i) and
-        never shrinks, so every group keeps at least two free variables."""
-        if a & self.forced_out[t]:
+        never shrinks, so every kept group has at least two free variables."""
+        out = self.forced_out[t]
+        if a & out:
             return
-        residue = a - self.forced_in[t]
+        residue = a - self.required(t)
         if len(residue) == 1:
-            self.forced_out[t] |= residue
+            out = self.forced_out[t] = out | residue
+            self.groups[t] = tuple(g for g in self.groups[t] if not g & out)
         elif a not in self.groups[t]:
-            self.groups[t].append(a)
+            self.groups[t] += (a,)
 
     def assign(self, t: Term, m: VarSet) -> "PartialAssignment":
         """New state with M(t) = m; raises ConflictError when impossible."""
-        if t not in self.forced_in:
+        if t not in self.forced_out:
             raise LookupError(f"term {format_term(t, self.n)} not in the support")
         m = frozenset(m)
         if t in self.assigned:
             raise ConflictError(f"{format_term(t, self.n)} is already assigned")
         if not m or not m <= set(range(1, self.n + 1)):
             raise ConflictError(f"inadmissible multiplicative set {sorted(m)}")
-        if not self.forced_in[t] <= m:
-            raise ConflictError(
-                f"{format_term(t, self.n)} must keep {sorted(self.forced_in[t] - m)}")
+        need = self.required(t)
+        if not need <= m:
+            raise ConflictError(f"{format_term(t, self.n)} must keep {sorted(need - m)}")
         if m & self.forced_out[t]:
             raise ConflictError(
                 f"{format_term(t, self.n)} must avoid {sorted(m & self.forced_out[t])}")
@@ -133,9 +139,6 @@ class PartialAssignment:
         nxt = self.copy()
         nxt.budget[len(m)] -= 1
         nxt.assigned[t] = m
-        nxt.forced_in[t] = set(m)
-        nxt.forced_out[t] = set(range(1, nxt.n + 1)) - m
-        nxt.groups[t] = []
         # pairwise disjointness: once M(t) is final, any open u whose quotient
         # variables towards t are all multiplicative for t must miss one of
         # t's quotient variables towards u
@@ -144,26 +147,22 @@ class PartialAssignment:
             w = term_gcd(t, u)
             if support(term_div(u, w)) <= m:
                 nxt._not_superset(u, support(term_div(t, w)))
-        for u in todo:
-            nxt.groups[u] = [g for g in nxt.groups[u] if not g & nxt.forced_out[u]]
+        for u in todo:  # the budget shrank for every open term
             nxt._feasible(u)
         return nxt
 
 
 def seed_constraints(n: int, d: int) -> PartialAssignment:
-    """Fresh state: pure powers keep their own variable, budget is the
-    expected profile."""
+    """Fresh state: budget is the expected profile, and all terms share one
+    empty forced_out row and one empty groups row (rows are never changed in
+    place).  Pure powers keep their own variable through required()."""
     terms = tuple(enumerate_terms(n, d))
-    forced_in: dict[Term, set[int]] = {t: set() for t in terms}
-    for i in range(1, n + 1):
-        forced_in[pure_power(n, d, i)].add(i)
     return PartialAssignment(
         n,
         d,
         terms,
-        forced_in,
-        {t: set() for t in terms},
-        {t: [] for t in terms},
+        dict.fromkeys(terms, frozenset()),
+        dict.fromkeys(terms, ()),
         {},
         [0, *sigma_expected(n, d)],
     )

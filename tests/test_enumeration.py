@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from copy import deepcopy
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -8,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conedec import (
+    BuildSession,
     ConflictError,
     PartialAssignment,
     RelDivision,
@@ -20,7 +23,7 @@ from conedec import (
     sigma_expected,
 )
 from conedec.enumeration import _least_form, _serialize
-from conedec.terms import format_term, support, term_div, term_gcd
+from conedec.terms import format_term, pure_power, support, term_div, term_gcd
 
 from conftest import orbit_divisions_32, term
 
@@ -196,11 +199,18 @@ def test_pommaret_always_enumerated():
 
 def test_seed_constraints_pin_pure_powers():
     pa = seed_constraints(3, 2)
-    assert pa.forced_in[term("x^2")] == {1}
-    assert pa.forced_in[term("y^2")] == {2}
-    assert pa.forced_in[term("z^2")] == {3}
-    assert pa.forced_in[term("x*y")] == set()
+    assert pa.required(term("x^2")) == {1}
+    assert pa.required(term("y^2")) == {2}
+    assert pa.required(term("z^2")) == {3}
+    assert pa.required(term("x*y")) == set()
     assert pa.budget == [0, 3, 2, 1]
+
+
+def test_degree_zero_requires_every_variable():
+    # the one slice where a required set holds more than one variable
+    assert seed_constraints(3, 0).required((0, 0, 0)) == {1, 2, 3}
+    assert BuildSession(3, 0).complete
+    assert [div.mult for div in enumerate_divisions(3, 0)] == [{(0, 0, 0): {1, 2, 3}}]
 
 
 def test_propagation_after_peak_choice():
@@ -210,7 +220,7 @@ def test_propagation_after_peak_choice():
     assert pa.forced_out[term("y^2")] == {1}
     assert pa.forced_out[term("x*z")] == {2}
     assert pa.forced_out[term("y*z")] == {1}
-    assert pa.groups[term("z^2")] == [frozenset({1, 2})]
+    assert pa.groups[term("z^2")] == (frozenset({1, 2}),)
     assert pa.budget == [0, 3, 2, 0]
 
 
@@ -224,7 +234,14 @@ def test_propagation_worked_sequence_settles_last_term():
     assert pa.forced_out[term("y^2")] == {1, 3}
     pa = pa.assign(term("y^2"), frozenset({2}))
     pa = pa.assign(term("y*z"), frozenset({2}))
-    assert (pa.forced_in[term("x^2")], pa.forced_out[term("x^2")]) == ({1}, {2, 3})
+    assert pa.unassigned() == [term("x^2")]
+    assert (pa.required(term("x^2")), pa.forced_out[term("x^2")]) == ({1}, {2, 3})
+    session = BuildSession(3, 2)  # the same choices: the session fills x^2 in
+    for key, m in [("x*y", {1, 2, 3}), ("x*z", {1, 3}), ("z^2", {2, 3}), ("y^2", {2}),
+                   ("y*z", {2})]:
+        session.assign(term(key), m)
+    assert session.state.assigned == {**pa.assigned, term("x^2"): {1}}
+    assert dict(session.table())[term("x^2")] == ["in", "out", "out"]
 
 
 def test_propagate_conflicts():
@@ -259,12 +276,35 @@ def test_propagate_is_copy_on_branch():
 #
 # The reference propagation visits every pair over the whole support (assigned
 # terms included), normalises to a fixpoint that re-examines residues, and
-# checks every conflict, the unreachable ones too.  PartialAssignment, which
-# keeps only the rules that can fire, must agree with it step for step.
+# checks every conflict, the unreachable ones too.  It stores the required
+# set of every term (forced_in) and deep-copies every row.  PartialAssignment,
+# which keeps only the rules that can fire and derives the required sets, must
+# agree with it step for step.
+
+
+@dataclass
+class ReferenceState:
+    n: int
+    d: int
+    support: tuple
+    forced_in: dict
+    forced_out: dict
+    groups: dict
+    assigned: dict
+    budget: list
+
+
+def reference_seed(n, d):
+    terms = tuple(enumerate_terms(n, d))
+    forced_in = {t: set() for t in terms}
+    for i in range(1, n + 1):
+        forced_in[pure_power(n, d, i)].add(i)
+    return ReferenceState(n, d, terms, forced_in, {t: set() for t in terms},
+                          {t: [] for t in terms}, {}, [0, *sigma_expected(n, d)])
 
 
 def reference_copy(pa):
-    return PartialAssignment(
+    return ReferenceState(
         pa.n, pa.d, pa.support,
         {t: set(s) for t, s in pa.forced_in.items()},
         {t: set(s) for t, s in pa.forced_out.items()},
@@ -373,8 +413,26 @@ def reference_assign(pa, t, m):
     return nxt
 
 
-def state_of(pa):
-    return (pa.forced_in, pa.forced_out, pa.groups, pa.assigned, pa.budget)
+def assert_same_state(new, old):
+    """Equal assigned sets, budget and required sets; equal rows of the open
+    terms (the reference's rows of an assigned term t are fixed by M(t), and
+    PartialAssignment never reads them)."""
+    assert (new.assigned, new.budget) == (old.assigned, old.budget)
+    for u in new.support:
+        assert new.required(u) == old.forced_in[u]
+    for u in new.unassigned():
+        assert (new.forced_out[u], list(new.groups[u])) == (old.forced_out[u], old.groups[u])
+
+
+def draw_choice(data, pa):
+    """Mostly a candidate of an open term, sometimes an arbitrary set or an
+    assigned term."""
+    anywhere = data.draw(st.integers(0, 7)) == 0
+    t = data.draw(st.sampled_from(pa.support if anywhere else pa.unassigned()))
+    options = pa.candidates(t)
+    if options and data.draw(st.integers(0, 3)):
+        return t, data.draw(st.sampled_from(options))
+    return t, data.draw(st.frozensets(st.integers(1, pa.n), max_size=pa.n))
 
 
 def outcome(assign, *args):
@@ -390,27 +448,37 @@ def test_propagation_matches_fixpoint_reference(slice_, data):
     """Random choice sequences, mostly candidates of open terms, sometimes an
     arbitrary set or an assigned term: both propagations keep equal states,
     raise the same conflicts at the same steps and list the same candidates."""
-    n, d = slice_
-    new = old = seed_constraints(n, d)
+    new, old = seed_constraints(*slice_), reference_seed(*slice_)
+    assert_same_state(new, old)
     for _ in range(len(new.support) + 8):
         for u in new.support:
             assert new.candidates(u) == reference_candidates(old, u)
-        todo = new.unassigned()
-        if not todo:
+        if not new.unassigned():
             break
-        anywhere = data.draw(st.integers(0, 7)) == 0
-        t = data.draw(st.sampled_from(new.support if anywhere else todo))
-        options = new.candidates(t)
-        if options and data.draw(st.integers(0, 3)):
-            m = data.draw(st.sampled_from(options))
-        else:
-            m = data.draw(st.frozensets(st.integers(1, n), max_size=n))
+        t, m = draw_choice(data, new)
         got, got_error = outcome(new.assign, t, m)
         want, want_error = outcome(reference_assign, old, t, m)
         assert got_error == want_error
         if got is not None:
-            assert state_of(got) == state_of(want)
+            assert_same_state(got, want)
             new, old = got, want
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([(3, 2), (3, 3), (4, 2)]), st.data())
+def test_assign_never_changes_the_parent_state(slice_, data):
+    """A state shares its rows with every state assign() derives from it, so
+    no accepted or rejected choice may change the state it was made on."""
+    pa = seed_constraints(*slice_)
+    for _ in range(len(pa.support) + 8):
+        if not pa.unassigned():
+            break
+        t, m = draw_choice(data, pa)
+        before = deepcopy(pa)
+        nxt, _ = outcome(pa.assign, t, m)
+        assert pa == before
+        if nxt is not None:
+            pa = nxt
 
 
 # -- canonical forms against the n! reference ------------------------------
