@@ -3,16 +3,16 @@
 from __future__ import annotations
 
 from .division import RelDivision
-from .terms import Term, VarSet, degree, enumerate_terms, pure_power
+from .terms import Term, VarSet, enumerate_terms, pure_power
 
 
-def _pommaret_mult(t: Term, n: int, order: tuple[int, ...]) -> frozenset[int]:
-    # order lists the variables from smallest to largest
+def _pommaret_mult(terms, order: tuple[int, ...]) -> dict[Term, VarSet]:
+    # order lists the variables from smallest to largest; the constant term
+    # has no smallest variable and gets them all
     rank = {v: i for i, v in enumerate(order)}
-    if degree(t) == 0:
-        return frozenset(order)
-    lo = min(rank[i + 1] for i, e in enumerate(t) if e > 0)
-    return frozenset(order[: lo + 1])
+    lowest = {t: min((rank[i] for i, e in enumerate(t, 1) if e), default=len(order))
+              for t in terms}
+    return {t: frozenset(order[: lo + 1]) for t, lo in lowest.items()}
 
 
 def _check_order(order, n: int) -> tuple[int, ...]:
@@ -29,15 +29,13 @@ def pommaret_on_slice(n: int, d: int, order=None) -> RelDivision:
     variables of t are those at or below its smallest variable, smallness
     taken along the given variable order (ascending indices by default)."""
     order = _check_order(order, n)
-    mult = {t: _pommaret_mult(t, n, order) for t in enumerate_terms(n, d)}
-    return RelDivision.on_slice(n, d, mult)
+    return RelDivision.on_slice(n, d, _pommaret_mult(enumerate_terms(n, d), order))
 
 
 def pommaret_general(terms, n: int) -> RelDivision:
     """Triangular rule applied verbatim to an arbitrary finite term set.
     Need not be valid there; pair with the covering oracle."""
-    mult = {tuple(t): _pommaret_mult(tuple(t), n, tuple(range(1, n + 1))) for t in terms}
-    return RelDivision.general(n, mult)
+    return RelDivision.general(n, _pommaret_mult(map(tuple, terms), tuple(range(1, n + 1))))
 
 
 def _janet_mult(terms, n: int) -> dict[Term, VarSet]:

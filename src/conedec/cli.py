@@ -40,6 +40,12 @@ MAX_ORACLE_WORK = 500_000
 # variable has 2^(n-1) candidate sets, listed at every search node.  The
 # largest slices enumerated to completion, (4,2), (3,4) and (5,1), are 60-80.
 MAX_SEARCH_WIDTH = 4_096
+# Largest sigma and vandermonde degree: the largest profile entry, C(d+n-2, n-1),
+# then has at most 3,693 digits at n = 64, under the 4,300 Python prints by default.
+MAX_PROFILE_DEGREE = 10**60
+# Largest vandermonde d_max: one exact binomial sum per degree, about 3 s at
+# n = 64 and degree 10^60 on a 2-core host.
+MAX_IDENTITY_DEGREE = 10_000
 
 
 class UsageError(Exception):
@@ -330,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vandermonde", help="check the profile splitting identity")
     _add_slice_args(p)
-    p.add_argument("d_max", type=_NON_NEGATIVE, nargs="?", default=12)
+    p.add_argument("d_max", type=_int_in(0, MAX_IDENTITY_DEGREE), nargs="?", default=12)
     p.set_defaults(fn=cmd_vandermonde)
 
     return parser
@@ -344,6 +350,8 @@ def main(argv=None) -> int:
     if args.command == "sigma" and args.division is None and (
             args.n is None or args.degree is None):
         parser.error("sigma needs n and degree, or --division FILE")
+    if args.command in ("sigma", "vandermonde") and (args.degree or 0) > MAX_PROFILE_DEGREE:
+        parser.error(f"a degree of {len(str(args.degree)):,} digits exceeds 10^60")
     try:
         return args.fn(args)
     except UsageError as exc:

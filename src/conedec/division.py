@@ -361,10 +361,5 @@ class RelDivision:
 
 def make_division(n: int, d: int | None, rows: dict[str, str]) -> RelDivision:
     """Readable constructor: rows map term strings to comma-separated variables."""
-    mult = {}
-    for key, vals in rows.items():
-        t = parse_term(key, n)
-        mult[t] = parse_varset([v for v in vals.replace(",", " ").split() if v], n)
-    if d is None:
-        return RelDivision.general(n, mult)
-    return RelDivision.on_slice(n, d, mult)
+    return RelDivision.from_json_dict({"n": n, "degree": d, "multiplicative": {
+        key: vals.replace(",", " ").split() for key, vals in rows.items()}})

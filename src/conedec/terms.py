@@ -26,40 +26,30 @@ def deglex_key(t: Term) -> tuple[int, Term]:
     return (sum(t), t[::-1])
 
 
-def _same_length(*terms: Term) -> int:
-    n = len(terms[0])
-    for t in terms[1:]:
-        if len(t) != n:
-            raise ValueError(f"terms live in different variable counts: {terms}")
-    return n
-
-
 def term_mul(t: Term, s: Term) -> Term:
-    _same_length(t, s)
-    return tuple(a + b for a, b in zip(t, s))
+    return tuple(a + b for a, b in zip(t, s, strict=True))
 
 
 def term_divides(s: Term, t: Term) -> bool:
     """True when s | t componentwise."""
-    _same_length(s, t)
-    return all(a <= b for a, b in zip(s, t))
+    # a list, not a generator: zip checks the lengths only once it is exhausted
+    return all([a <= b for a, b in zip(s, t, strict=True)])
 
 
 def term_div(t: Term, s: Term) -> Term:
     """Exact quotient t / s; raises ValueError when s does not divide t."""
-    if not term_divides(s, t):
+    q = tuple(a - b for a, b in zip(t, s, strict=True))
+    if min(q, default=0) < 0:
         raise ValueError(f"{s} does not divide {t}")
-    return tuple(a - b for a, b in zip(t, s))
+    return q
 
 
 def term_lcm(t: Term, s: Term) -> Term:
-    _same_length(t, s)
-    return tuple(max(a, b) for a, b in zip(t, s))
+    return tuple(max(a, b) for a, b in zip(t, s, strict=True))
 
 
 def term_gcd(t: Term, s: Term) -> Term:
-    _same_length(t, s)
-    return tuple(min(a, b) for a, b in zip(t, s))
+    return tuple(min(a, b) for a, b in zip(t, s, strict=True))
 
 
 def support(t: Term) -> VarSet:
@@ -107,21 +97,15 @@ def max_var(t: Term) -> int:
 
 
 def enumerate_terms(n: int, d: int) -> list[Term]:
-    """All degree-d terms in n variables, in deg-lex order."""
+    """All degree-d terms in n variables, in deg-lex order: the last exponent
+    ascending, and for each last exponent the slice in one variable fewer."""
     if n < 1:
         raise ValueError("need at least one variable")
     if d < 0:
         raise ValueError("degree must be non-negative")
-
-    def compositions(k: int, total: int):
-        if k == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(k - 1, total - first):
-                yield (first,) + rest
-
-    return sorted(compositions(n, d), key=deglex_key)
+    if n == 1 or d == 0:  # a single term: (d,) or the constant term
+        return [(0,) * (n - 1) + (d,)]
+    return [t + (e,) for e in range(d + 1) for t in enumerate_terms(n - 1, d - e)]
 
 
 def _comb0(m: int, r: int) -> int:

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conedec import RelDivision, enumerate_terms, pommaret_general, pommaret_on_slice
-from conedec.cli import MAX_ORACLE_WORK, MAX_SLICE_TERMS, main
+from conedec.cli import (
+    MAX_IDENTITY_DEGREE, MAX_ORACLE_WORK, MAX_PROFILE_DEGREE, MAX_SLICE_TERMS, main)
 from conedec.division import make_division
 
 
@@ -391,6 +392,12 @@ def test_sigma_against_division(capsys, p32_file, bad31_file):
     assert data["match"] is False
 
 
+def test_sigma_prints_the_profile_at_the_degree_bound(capsys):
+    # the bound keeps every entry within Python's default int-to-text limit
+    assert main(["sigma", "64", str(MAX_PROFILE_DEGREE)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["expected"]) == 64
+
+
 def test_sigma_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["sigma"])
@@ -467,9 +474,14 @@ def test_closed_stdout_exits_1_without_traceback(argv, lines):
     "[" * 100_000,
     pommaret_on_slice(2, MAX_SLICE_TERMS).to_json(),
     None,
+    '{"n": 3, "degree": 1, "multiplicative": {"x": [1], "y": [1, 2], "z": [4]}}',
+    '{"n": 2, "degree": 2, "multiplicative": {"x^2": ["x"], "x*y": ["x"], "y*x": ["x"],'
+    ' "y^2": ["x", "y"]}}',
+    '{"n": 1, "degree": 1, "multiplicative": {"x": "x"}}',
 ], ids=["array", "degree-string", "mult-list", "n-bool", "degree-bool", "syntax",
         "permuted-variables", "variables-string", "exponent-bool", "index-bool",
-        "n-over-cap", "over-nested", "too-many-terms", "directory"])
+        "n-over-cap", "over-nested", "too-many-terms", "directory",
+        "index-out-of-range", "term-repeated", "vars-not-list"])
 def test_malformed_division_file_is_usage_error(capsys, tmp_path, text):
     path = tmp_path  # text None: the path names a directory
     if text is not None:
@@ -478,6 +490,26 @@ def test_malformed_division_file_is_usage_error(capsys, tmp_path, text):
     assert main(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_division_file_with_variable_indices(capsys, tmp_path):
+    path = tmp_path / "indices.json"
+    path.write_text('{"n": 3, "degree": 1,'
+                    ' "multiplicative": {"x": [1], "y": [1, 2], "z": [1, 2, 3]}}')
+    assert RelDivision.from_json(path.read_text()) == pommaret_on_slice(3, 1)
+    assert main(["validate", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["valid"]
+
+
+@pytest.mark.parametrize("rows,violation", [
+    ({"x": ["y"], "y": ["x", "y"]}, {"kind": "pure-power", "variable": "x"}),
+    ({"x": ["x", "y"], "y": ["x", "y"]}, {"kind": "multiple-peaks", "terms": ["x", "y"]}),
+], ids=["pure-power", "multiple-peaks"])
+def test_validate_names_variables_and_terms(capsys, tmp_path, rows, violation):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 2, "degree": 1, "multiplicative": rows}))
+    assert main(["validate", str(path)]) == 1
+    assert violation in json.loads(capsys.readouterr().out)["violations"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -496,11 +528,15 @@ def test_malformed_division_file_is_usage_error(capsys, tmp_path, text):
     ["gen", "pommaret", "64", "20"],
     ["build", "64", "20"],
     ["gen", "janet", "3", "2", "--order", "1,2,3"],
+    ["sigma", "3", "9" * 3000],
+    ["vandermonde", "3", str(MAX_PROFILE_DEGREE + 1), "1"],
+    ["vandermonde", "3", "2", str(MAX_IDENTITY_DEGREE + 1)],
 ], ids=["enumerate-n0", "enumerate-n-over-cap", "enumerate-negative-degree", "sigma-n0",
         "order-not-integers", "order-not-permutation", "seed-unparsable",
         "oracle-negative", "certify-negative", "vandermonde-negative",
         "enumerate-too-wide", "enumerate-too-many-terms", "gen-too-many-terms",
-        "build-too-many-terms", "order-on-janet"])
+        "build-too-many-terms", "order-on-janet", "sigma-degree-over-cap",
+        "vandermonde-degree-over-cap", "vandermonde-d-max-over-cap"])
 def test_bad_arguments_are_usage_errors(capsys, p32_file, argv):
     argv = [p32_file if a == "P32" else a for a in argv]
     try:

@@ -238,6 +238,17 @@ def test_permuted_swap(pommaret32):
     assert swapped.permuted((3, 2, 1)) == pommaret32
 
 
+@pytest.mark.parametrize("pi", [(1, 1, 2), (1, 2), (1, 2, 3, 4), (0, 1, 2)])
+def test_permuted_rejects_a_non_permutation(pommaret32, pi):
+    with pytest.raises(ValueError, match="not a permutation"):
+        pommaret32.permuted(pi)
+
+
+def test_make_division_rejects_a_repeated_row():
+    with pytest.raises(ValueError, match="duplicate term 'y\\*x'"):
+        make_division(2, 2, {"x^2": "x", "x*y": "x", "y*x": "x,y", "y^2": "x,y"})
+
+
 def test_mult_is_read_only(pommaret32):
     t = term("x^2")
     assert pommaret32.is_valid and pommaret32.involutive_divisor(t) == t

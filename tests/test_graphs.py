@@ -149,6 +149,8 @@ def test_graph_construction_guards():
         graph_from_edge_list(2, ((1, 0),), frozenset({((1, 0), (0, 1), None)}))
     with pytest.raises(ValueError):
         graph_from_edge_list(2, ((1, 0), (0, 1)), frozenset({((1, 0), (0, 1), 5)}))
+    with pytest.raises(ValueError, match="duplicate nodes"):
+        graph_from_edge_list(2, ((1, 0), (0, 1), [1, 0]), ())
 
 
 def test_dot_output(pommaret32):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -30,6 +31,24 @@ def test_slice_size(n, d):
     assert ts == sorted(ts, key=T.deglex_key)
 
 
+def _slice_by_sorting(n, d):
+    """The degree-d slice built independently: each multiset of d variables
+    counted into an exponent vector, then sorted by deglex_key."""
+    out = []
+    for picks in combinations_with_replacement(range(n), d):
+        t = [0] * n
+        for i in picks:
+            t[i] += 1
+        out.append(tuple(t))
+    return sorted(out, key=T.deglex_key)
+
+
+@pytest.mark.parametrize("n,d", [(1, 0), (1, 5), (3, 0), (3, 2), (6, 4), (62, 2), (64, 2),
+                                 (2, 1999), (3, 61)])
+def test_slice_built_in_deglex_order(n, d):
+    assert T.enumerate_terms(n, d) == _slice_by_sorting(n, d)
+
+
 terms2 = st.tuples(*([st.integers(min_value=0, max_value=6)] * 4))
 
 
@@ -48,13 +67,26 @@ def test_divides_div_roundtrip(a, b):
 
 
 def test_div_requires_divisibility():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not divide"):
         T.term_div((1, 0), (0, 1))
 
 
 def test_mixed_lengths_rejected():
     with pytest.raises(ValueError):
         T.term_lcm((1, 0), (1, 0, 0))
+
+
+@pytest.mark.parametrize("kernel", [T.term_mul, T.term_divides, T.term_div, T.term_lcm,
+                                    T.term_gcd], ids=["mul", "divides", "div", "lcm", "gcd"])
+@pytest.mark.parametrize("a,b", [((5, 0), (1, 0, 0)), ((1, 0, 0), (5, 0)),
+                                 ((1, 0), (1, 0, 0)), ((1, 0, 0), (1, 0))],
+                         ids=["settled-early", "settled-early-swapped", "prefix",
+                              "prefix-swapped"])
+def test_every_kernel_rejects_mixed_lengths(kernel, a, b):
+    # (5, 0) against (1, 0, 0) settles divisibility at the first exponent;
+    # the length mismatch must still raise
+    with pytest.raises(ValueError):
+        kernel(a, b)
 
 
 def test_support_min_max():
