@@ -37,8 +37,9 @@ MAX_SLICE_TERMS = 2_000
 # support terms: about 2 s at the 0.06-4.2 µs a pair measured on a 2-core host.
 MAX_ORACLE_WORK = 500_000
 # Largest enumerate search, in terms × 2^(n-1): a term with one required
-# variable has 2^(n-1) candidate sets, listed at every search node.  The
-# largest slices enumerated to completion, (4,2), (3,4) and (5,1), are 60-80.
+# variable has 2^(n-1) candidate sets, listed at the root and wherever its
+# rows change.  The largest slices enumerated to completion, (4,2), (3,4),
+# (5,1) and (3,5), are 60-84; (3,5) takes about 2 minutes on a 2-core host.
 MAX_SEARCH_WIDTH = 4_096
 # Largest sigma and vandermonde degree: the largest profile entry, C(d+n-2, n-1),
 # then has at most 3,693 digits at n = 64, under the 4,300 Python prints by default.

@@ -217,16 +217,56 @@ def orbit_size(div: RelDivision) -> int:
     return factorial(div.n) // _least_form(div)[1]
 
 
+def _hall_fails(lists, budget: list[int]) -> bool:
+    """True when open terms with these candidate lists cannot all get a size:
+    for some set K of sizes, more of them have every size in K than
+    sum(budget[k] for k in K) (Hall's condition; Régin, AAAI 1996).  K runs
+    over the sizes some term can take; any other size only adds capacity."""
+    within: dict[int, int] = {}  # size mask (bit k: size k) -> open terms with it
+    union = 0
+    for options in lists:
+        mask = 0
+        for m in options:
+            mask |= 1 << len(m)
+        within[mask] = within.get(mask, 0) + 1
+        union |= mask
+    sizes = union
+    while True:  # every subset of union, the empty set last
+        if (sum(c for mask, c in within.items() if not mask & ~sizes)
+                > sum(b for k, b in enumerate(budget) if sizes >> k & 1)):
+            return True
+        if not sizes:
+            return False
+        sizes = (sizes - 1) & union
+
+
+def _carried(lists: dict, pa: PartialAssignment, nxt: PartialAssignment, t: Term) -> dict:
+    """Candidate lists of the open terms of nxt = pa.assign(t, m), from pa's.
+    A term whose rows nxt shares with pa keeps its list less the size whose
+    budget ran out: rows are replaced, never changed in place, and an open
+    term's required set is fixed."""
+    size = len(nxt.assigned[t])
+    spent = nxt.budget[size] == 0
+    return {u: ([m for m in options if len(m) != size] if spent else options)
+            if nxt.forced_out[u] is pa.forced_out[u] and nxt.groups[u] is pa.groups[u]
+            else nxt.candidates(u)
+            for u, options in lists.items() if u != t}
+
+
 def enumerate_divisions(n: int, d: int, up_to_symmetry: bool = False):
     """All valid assignments on the degree-d slice, as a deterministic stream.
 
     The search runs in two phases over the same propagation.  The first
-    branches on the open term with the fewest candidates (fail-first) and
-    collects every leaf.  The second branches on the open term with the most
-    candidates, the rule that fixes the stream order, and tries only the
-    options some collected leaf agrees with, so it visits live nodes only and
-    yields the leaves in the same order as a single search by that rule.  The
-    first division therefore comes only after the first phase has finished.
+    branches on the open term with the fewest candidates (fail-first),
+    drops every node where the open terms cannot share out the remaining
+    size budget (Hall's condition), and collects every leaf.  The second
+    branches on the open term with the most candidates, the rule that fixes
+    the stream order, and tries only the options some collected leaf agrees
+    with, so it visits live nodes only and yields the leaves in the same
+    order as a single search by that rule.  The first division therefore
+    comes only after the first phase has finished.  Both phases hand each
+    child the candidate lists of its parent, rebuilt only for the terms
+    whose rows the choice replaced.
 
     With up_to_symmetry, only the canonical representative of each variable-
     renaming orbit is produced (the one whose own serialization attains the
@@ -235,16 +275,18 @@ def enumerate_divisions(n: int, d: int, up_to_symmetry: bool = False):
     seed = seed_constraints(n, d)
     row = {t: k for k, t in enumerate(seed.support)}
 
-    def dfs(pa: PartialAssignment, pick, leaves=None):
-        """Complete states below pa, branching on the term pick selects;
-        with leaves (row-mask tuples), only into options some leaf agrees with."""
-        todo = pa.unassigned()
-        if not todo:
+    def dfs(pa: PartialAssignment, lists: dict, pick, leaves=None):
+        """Complete states below pa, whose open terms have these candidate
+        lists, branching on the term pick selects; without leaves, none below
+        a node failing Hall's test; with leaves (row-mask tuples), only into
+        options some leaf agrees with."""
+        if not lists:
             yield pa
             return
+        if leaves is None and _hall_fails(lists.values(), pa.budget):
+            return
         # min and max keep the first term of extreme candidate count: the tie-break
-        best, options = pick(((t, pa.candidates(t)) for t in todo),
-                             key=lambda pair: len(pair[1]))
+        best, options = pick(lists.items(), key=lambda pair: len(pair[1]))
         k = row[best]
         for m in options:
             live = None
@@ -257,11 +299,12 @@ def enumerate_divisions(n: int, d: int, up_to_symmetry: bool = False):
                 nxt = pa.assign(best, m)
             except ConflictError:
                 continue
-            yield from dfs(nxt, pick, live)
+            yield from dfs(nxt, _carried(lists, pa, nxt, best), pick, live)
 
+    lists = {t: seed.candidates(t) for t in seed.support}
     leaves = [tuple(varmask(pa.assigned[t]) for t in seed.support)
-              for pa in dfs(seed, min)]
-    for pa in dfs(seed, max, leaves):
+              for pa in dfs(seed, lists, min)]
+    for pa in dfs(seed, lists, max, leaves):
         div = RelDivision.on_slice(n, d, dict(pa.assigned))
         if up_to_symmetry and _least_form(div, below_own=True) is None:
             continue

@@ -3,6 +3,7 @@ from __future__ import annotations
 from copy import deepcopy
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
 
 import pytest
@@ -22,7 +23,8 @@ from conedec import (
     seed_constraints,
     sigma_expected,
 )
-from conedec.enumeration import _least_form, _serialize
+from conedec import enumeration
+from conedec.enumeration import _hall_fails, _least_form, _serialize
 from conedec.terms import format_term, pure_power, support, term_div, term_gcd
 
 from conftest import orbit_divisions_32, term
@@ -78,7 +80,7 @@ def single_phase_stream(n, d):
     return list(dfs(seed_constraints(n, d)))
 
 
-@pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2), (4, 1), (5, 1)])
+@pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 1), (5, 1)])
 def test_stream_matches_single_phase_search(n, d):
     want = single_phase_stream(n, d)
     assert [div.to_json() for div in enumerate_divisions(n, d)] == [
@@ -105,6 +107,7 @@ def test_no_conflict_after_the_first_division(monkeypatch):
     at_first = dict(counts)
     assert sum(1 for _ in stream) == 351
     assert at_first["conflicts"] > 0  # the wrapper sees the fail-first phase
+    assert at_first["assign"] <= 3_100  # Hall's test prunes: 5,886 without it
     assert counts["conflicts"] == at_first["conflicts"]
     assert counts["assign"] > at_first["assign"]
 
@@ -192,6 +195,56 @@ def test_pommaret_always_enumerated():
     for n, d in [(2, 2), (2, 3), (3, 1), (3, 2)]:
         target = pommaret_on_slice(n, d).mult
         assert any(div.mult == target for div in enumerate_divisions(n, d))
+
+
+# -- pruning and candidate lists inside the search ---------------------------
+
+
+@cache
+def unpruned_leaves(n, d):
+    """Every leaf of the search without Hall's test, as term -> set dicts."""
+    return [div.mult for div in single_phase_stream(n, d)]
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([(2, 3), (3, 2), (3, 3), (4, 1)]), st.data())
+def test_hall_test_prunes_only_nodes_without_leaves(slice_, data):
+    """Along a random path of accepted choices (any open term, any of its
+    candidates), every state the Hall test rejects extends to no leaf."""
+    pa = seed_constraints(*slice_)
+    while pa.unassigned():
+        lists = {t: pa.candidates(t) for t in pa.unassigned()}
+        if _hall_fails(lists.values(), pa.budget):
+            assert not any(pa.assigned.items() <= leaf.items()
+                           for leaf in unpruned_leaves(*slice_))
+        t = data.draw(st.sampled_from(list(lists)))
+        if not lists[t]:
+            break
+        try:
+            pa = pa.assign(t, data.draw(st.sampled_from(lists[t])))
+        except ConflictError:
+            break
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (3, 3), (2, 4), (4, 1)])
+def test_carried_candidate_lists_equal_fresh_ones(monkeypatch, n, d):
+    """The lists the search hands to each child, reused or rebuilt, equal the
+    child's own candidates for every open term, in the same order."""
+    real_carried, calls = enumeration._carried, [0]
+
+    def checked_carried(lists, pa, nxt, t):
+        got = real_carried(lists, pa, nxt, t)
+        assert list(got) == nxt.unassigned()
+        assert all(options == nxt.candidates(u) for u, options in got.items())
+        calls[0] += 1
+        return got
+
+    monkeypatch.setattr(enumeration, "_carried", checked_carried)
+    stream = enumerate_divisions(n, d)
+    next(stream)
+    at_first = calls[0]
+    assert sum(1 for _ in stream) > 0
+    assert calls[0] > at_first > 0  # lists are carried in both phases
 
 
 # -- propagation mechanics --------------------------------------------------
