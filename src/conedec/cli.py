@@ -19,7 +19,7 @@ from .closures import escalier_from_seed, ideal_from_seed
 from .division import MAX_VARS, DivisionError, InvalidDivisionError, RelDivision
 from .enumeration import ConflictError, enumerate_divisions, orbit_size
 from .graphs import generalized_graph, redundant_graph, ufnarovsky_graph
-from .oracle import verify_division_covering
+from .oracle import verify_division_covering, walk_degrees
 from .terms import (
     format_term,
     parse_term,
@@ -123,11 +123,13 @@ def _check_slice(n: int, d: int, search: bool = False) -> None:
             f" candidate sets exceeds {MAX_SEARCH_WIDTH}")
 
 
-def _check_oracle_work(option: str, margin: int, div: RelDivision, lo: int, hi: int) -> None:
-    """Refuse a walk over the terms of degree lo..hi + margin when they, times
-    the support terms, exceed MAX_ORACLE_WORK; name the largest margin that fits."""
-    n, size = div.n, len(div.support)
-    work = lambda k: (comb(hi + k + n, n) - comb(lo - 1 + n, n)) * size  # degree lo..hi + k
+def _check_oracle_work(option: str, margin: int, div: RelDivision) -> None:
+    """Refuse an oracle walk whose terms (of oracle.walk_degrees) times the support
+    terms exceed MAX_ORACLE_WORK; name the largest margin that fits."""
+
+    def work(k: int) -> int:  # terms of degree start..stop - 1, times the support terms
+        walk, n = walk_degrees(div, k), div.n
+        return (comb(walk.stop - 1 + n, n) - comb(walk.start - 1 + n, n)) * len(div.support)
     if work(margin) > MAX_ORACLE_WORK:
         fits = bisect_right(range(margin), MAX_ORACLE_WORK, key=work) - 1
         advice = (f"use {option} {fits}, the largest margin that fits" if fits >= 0
@@ -159,8 +161,7 @@ def cmd_validate(args) -> int:
     div = _load_division(args.division)
     report = div.validate()
     if args.oracle is not None:
-        degrees = [sum(t) for t in div.support] or [0]
-        _check_oracle_work("--oracle", args.oracle, div, min(degrees), max(degrees))
+        _check_oracle_work("--oracle", args.oracle, div)
         report = report.merged(verify_division_covering(div, args.oracle))
     _print_json(report.to_json_dict())
     return 0 if report.valid else 1
@@ -207,7 +208,7 @@ def cmd_closure(args) -> int:
         if t not in div.mult:
             raise UsageError(f"seed term {text} is not in the support")
     if div.is_full_slice:  # elsewhere the closure fails before it certifies
-        _check_oracle_work("--certify", args.certify, div, div.degree + 1, div.degree)
+        _check_oracle_work("--certify", args.certify, div)
     run = ideal_from_seed if args.mode == "ideal" else escalier_from_seed
     result = run(div, seed, args.certify)
     payload = result.report.to_json_dict()
@@ -221,7 +222,7 @@ def cmd_closure(args) -> int:
 
 
 def cmd_sigma(args) -> int:
-    if args.division:
+    if args.division is not None:
         div = _load_division(args.division)
         if not div.is_full_slice:
             raise InvalidDivisionError("profile comparison needs a full-slice division")
@@ -348,9 +349,9 @@ def main(argv=None) -> int:
     exit codes (argparse exits 2 on a malformed command line by itself)."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "sigma" and args.division is None and (
-            args.n is None or args.degree is None):
-        parser.error("sigma needs n and degree, or --division FILE")
+    if args.command == "sigma" and (args.n is None, args.degree is None) != (
+            (args.division is not None,) * 2):
+        parser.error("sigma takes n and degree, or --division FILE alone")
     if args.command in ("sigma", "vandermonde") and (args.degree or 0) > MAX_PROFILE_DEGREE:
         parser.error(f"a degree of {len(str(args.degree)):,} digits exceeds 10^60")
     try:

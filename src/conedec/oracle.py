@@ -13,17 +13,20 @@ from .division import RelDivision, ValidationReport
 from .terms import Term, degree, deglex_key, enumerate_terms, term_divides
 
 
+def walk_degrees(div: RelDivision, margin: int) -> range:
+    """The degrees of every oracle walk: above the lowest support degree (there a
+    term is in a cone only as its vertex) up to the highest + margin; none on an empty support."""
+    terms = div.support  # in deg-lex order
+    return range(degree(terms[0]) + 1, degree(terms[-1]) + margin + 1) if terms else range(0)
+
+
 def verify_division_covering(div: RelDivision, margin: int = 3) -> ValidationReport:
     """Check unique cone coverage of every multiple of the support, degree by
-    degree, up to max support degree + margin."""
+    degree over walk_degrees; margin 0 on a slice walks nothing."""
     if margin < 0:
         raise ValueError("margin must be non-negative")
-    if not div.support:  # nothing to cover
-        return ValidationReport(div.n)
     violations: list[dict] = []
-    degrees = [degree(t) for t in div.support]
-    lo, hi = min(degrees), max(degrees) + margin
-    for d in range(lo, hi + 1):
+    for d in walk_degrees(div, margin):
         for w in enumerate_terms(div.n, d):
             owners = [u for u in div.support if div.cone_contains(u, w)]
             if len(owners) > 1:
@@ -34,24 +37,21 @@ def verify_division_covering(div: RelDivision, margin: int = 3) -> ValidationRep
     return ValidationReport(div.n, violations)
 
 
-def _walk_plan(div: RelDivision, members, margin: int) -> tuple[list[Term], range]:
-    """The members, checked to be in the support, and the degrees a certificate
-    walks: above the slice (or lowest support) degree d0, where both sides
-    hold exactly the members, up to d0 + margin; none on an empty support."""
+def _members(div: RelDivision, members) -> list[Term]:
+    """The members as term tuples, checked to be in the support."""
     members = [tuple(t) for t in members]
     for t in members:
         if t not in div.mult:
             raise LookupError(f"member {t} not in the support")
-    d0 = div.degree if div.is_full_slice else min(map(degree, div.support), default=0)
-    return members, range(d0 + 1, d0 + margin + 1) if div.support else range(0)
+    return members
 
 
 def verify_ideal_equality(div: RelDivision, members, margin: int = 3):
     """Do the cones of the member terms cut out, slice by slice, the same set
-    as ordinary divisibility by the members?  Checked for degrees up to the
-    slice degree + margin; returns (ok, counterexample)."""
-    members, degrees = _walk_plan(div, members, margin)
-    for d in degrees:
+    as ordinary divisibility by the members?  Checked over walk_degrees, up to
+    the highest support degree + margin; returns (ok, counterexample)."""
+    members = _members(div, members)
+    for d in walk_degrees(div, margin):
         for w in enumerate_terms(div.n, d):
             plain = any(term_divides(m, w) for m in members)
             coned = any(div.cone_contains(m, w) for m in members)
@@ -62,19 +62,18 @@ def verify_ideal_equality(div: RelDivision, members, margin: int = 3):
 
 def verify_order_ideal(div: RelDivision, members, margin: int = 3):
     """Is the union of the member cones closed under passing to divisors of
-    degree >= the slice degree?  Bounded as above; returns (ok, counterexample)
-    where a counterexample is (term, divisor).
+    degree >= the lowest support degree?  Checked over walk_degrees; returns
+    (ok, counterexample) where a counterexample is (term, divisor).
 
-    Only the divisors w / x_i of covered terms w above the slice degree are
-    tested: any divisor of w of degree >= the slice degree is reached from w
-    by dropping one variable at a time through terms of the tested range."""
-    members, degrees = _walk_plan(div, members, margin)
+    Only the divisors w / x_i of covered walked terms w are tested: a divisor of
+    w down to the lowest support degree is reached by walked one-variable steps."""
+    members = _members(div, members)
 
     @cache
     def covered(w: Term) -> bool:
         return any(div.cone_contains(m, w) for m in members)
 
-    for d in degrees:
+    for d in walk_degrees(div, margin):
         for w in enumerate_terms(div.n, d):
             if not covered(w):
                 continue
@@ -89,7 +88,7 @@ def verify_order_ideal(div: RelDivision, members, margin: int = 3):
 def brute_compliant(div: RelDivision, seed) -> frozenset[Term]:
     """Fixpoint of the defining rule taken literally: for every member t and
     every support term s, the cone vertex of lcm(s, t) joins the set."""
-    members = set(_walk_plan(div, seed, 0)[0])
+    members = set(_members(div, seed))
     todo = sorted(members, key=deglex_key)
     for t in todo:  # grows while it is walked
         for s in div.support:

@@ -99,6 +99,16 @@ def orbit_divisions_32() -> list[RelDivision]:
     ]
 
 
+def mutated(data, div: RelDivision) -> RelDivision:
+    """div with the multiplicative set of one row replaced by a hypothesis draw."""
+    from hypothesis import strategies as st
+
+    rows = dict(div.mult)
+    rows[data.draw(st.sampled_from(div.support))] = data.draw(
+        st.frozensets(st.integers(1, div.n)))
+    return RelDivision(div.n, div.degree, div.support, rows)
+
+
 # reference reduced propagation graph for the four-variable division above
 FOUR_VARS_GRAPH_EDGES = [
     ("x^2*t", "x^3"), ("x^2*z", "x^2*y"), ("x^2*y", "x^2*t"), ("x^2*y", "y^2*t"),

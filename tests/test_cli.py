@@ -104,7 +104,7 @@ def test_validate_empty_support_with_oracle(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("text, argv, advice", [
-    # degrees 1..1000 in 2 variables against 2 terms: 1,003,000 pairs at margin 0
+    # degrees 2..1000 in 2 variables against 2 terms: 1,002,996 pairs at margin 0
     (lambda: '{"n": 2, "multiplicative": {"x": ["x"], "y^1000": ["y"]}}',
      ["validate", "F", "--oracle", "0"], "no --oracle margin fits this file"),
     # degrees 3..5 in 40 variables against 820 terms; margin 1 alone is 9.4 M pairs
@@ -531,12 +531,16 @@ def test_validate_names_variables_and_terms(capsys, tmp_path, rows, violation):
     ["sigma", "3", "9" * 3000],
     ["vandermonde", "3", str(MAX_PROFILE_DEGREE + 1), "1"],
     ["vandermonde", "3", "2", str(MAX_IDENTITY_DEGREE + 1)],
+    ["sigma", "4", "7", "--division", "P32"],
+    ["sigma", "4", "--division", "P32"],
+    ["sigma", "--division", ""],
 ], ids=["enumerate-n0", "enumerate-n-over-cap", "enumerate-negative-degree", "sigma-n0",
         "order-not-integers", "order-not-permutation", "seed-unparsable",
         "oracle-negative", "certify-negative", "vandermonde-negative",
         "enumerate-too-wide", "enumerate-too-many-terms", "gen-too-many-terms",
         "build-too-many-terms", "order-on-janet", "sigma-degree-over-cap",
-        "vandermonde-degree-over-cap", "vandermonde-d-max-over-cap"])
+        "vandermonde-degree-over-cap", "vandermonde-d-max-over-cap",
+        "sigma-both-forms", "sigma-degree-missing-with-division", "sigma-empty-division-path"])
 def test_bad_arguments_are_usage_errors(capsys, p32_file, argv):
     argv = [p32_file if a == "P32" else a for a in argv]
     try:

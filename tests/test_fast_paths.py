@@ -36,6 +36,8 @@ from conedec import (
 )
 from conedec.enumeration import _serialize
 
+from conftest import mutated
+
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
@@ -50,14 +52,6 @@ def relabelled(data, bases) -> RelDivision:
     div = data.draw(st.sampled_from(bases))
     pi = data.draw(st.permutations(range(1, div.n + 1)))
     return div.permuted(tuple(pi))
-
-
-def mutated(data, div: RelDivision) -> RelDivision:
-    """div with the multiplicative set of one row replaced at random."""
-    rows = dict(div.mult)
-    rows[data.draw(st.sampled_from(div.support))] = data.draw(
-        st.frozensets(st.integers(1, div.n)))
-    return RelDivision(div.n, div.degree, div.support, rows)
 
 
 # -- the old rules ----------------------------------------------------------

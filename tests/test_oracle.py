@@ -2,26 +2,34 @@ from __future__ import annotations
 
 import ast
 import inspect
+import re
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import conedec.cli
 import conedec.oracle
 
 from conedec import (
     RelDivision,
     brute_compliant,
     compliant_closure,
+    degree,
     enumerate_divisions,
+    enumerate_terms,
+    janet_general,
     parse_term,
     pommaret_general,
     pommaret_on_slice,
+    term_divides,
     verify_division_covering,
     verify_ideal_equality,
     verify_order_ideal,
 )
 
-from conftest import term
+from conftest import mutated, term
 
 
 def test_covering_passes_on_valid_slices(facile, four_vars):
@@ -102,6 +110,72 @@ def test_ideal_equality_skips_the_slice_degree(naive_calls, pommaret32):
 def test_covering_tests_divisibility_only_where_no_cone_covers(naive_calls):
     assert verify_division_covering(pommaret_on_slice(3, 2), 2).valid
     assert naive_calls["term_divides"] == 0 and naive_calls["cone_contains"] > 0
+
+
+def test_covering_at_margin_zero_on_a_slice_walks_nothing(naive_calls):
+    # at the slice degree every term is the vertex of its own cone and no other
+    assert verify_division_covering(pommaret_on_slice(3, 2), 0).valid
+    assert naive_calls == {}
+
+
+def test_certificates_walk_up_to_the_highest_support_degree():
+    div = RelDivision.general(2, {(1, 0): {1}, (0, 5): {2}})  # x: [x], y^5: [y]
+    assert verify_ideal_equality(div, [(0, 5)], 1) == (False, (1, 5))
+    assert verify_order_ideal(div, [(0, 5)], 1) == (False, ((0, 5), (0, 4)))
+
+
+def covering_from_the_lowest_degree(div, margin):
+    """Unique coverage checked on every degree from the lowest support degree
+    itself to the highest + margin."""
+    violations = []
+    degrees = [degree(t) for t in div.support]
+    for d in range(min(degrees), max(degrees) + margin + 1):
+        for w in enumerate_terms(div.n, d):
+            owners = [u for u in div.support if div.cone_contains(u, w)]
+            if len(owners) > 1:
+                violations.append(
+                    {"kind": "double-covered", "term": w, "u": owners[0], "v": owners[1]})
+            elif not owners and any(term_divides(u, w) for u in div.support):
+                violations.append({"kind": "uncovered", "term": w})
+    return violations
+
+
+@pytest.fixture(scope="module")
+def slices():
+    return [*enumerate_divisions(3, 2), *enumerate_divisions(3, 3)]
+
+
+_MIXED = [t for d in (1, 2, 3) for t in enumerate_terms(3, d)]
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data(), st.integers(0, 3))
+def test_one_walk_plan_for_covering_and_the_cli_bound(slices, data, margin):
+    """The covering walk finds what a walk from the lowest support degree finds,
+    and the CLI's work bound counts exactly the cone tests the walk makes."""
+    kind = data.draw(st.sampled_from(["slice", "mutated", "general"]))
+    if kind == "general":
+        rule = data.draw(st.sampled_from([pommaret_general, janet_general]))
+        div = rule(sorted(data.draw(st.sets(st.sampled_from(_MIXED), min_size=1, max_size=8))), 3)
+    else:
+        div = data.draw(st.sampled_from(slices))
+        div = mutated(data, div) if kind == "mutated" else div
+    calls = Counter()
+    contains = RelDivision.cone_contains
+
+    def counted(*args):
+        calls["cone_contains"] += 1
+        return contains(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RelDivision, "cone_contains", counted)
+        report = verify_division_covering(div, margin)
+        mp.setattr(conedec.cli, "MAX_ORACLE_WORK", -1)
+        with pytest.raises(conedec.cli.UsageError) as refusal:
+            conedec.cli._check_oracle_work("--oracle", margin, div)
+    assert report.violations == covering_from_the_lowest_degree(div, margin)
+    pairs = re.search(r"would test ([\d,]+) \(term, support term\) pairs", str(refusal.value))
+    assert int(pairs[1].replace(",", "")) == calls["cone_contains"]
 
 
 def test_ideal_equality(facile):
