@@ -91,7 +91,7 @@ class BuildSession:
             CELL_GROUP: "\x1b[33m{}\x1b[0m",
             CELL_FREE: "{}",
         }
-        width = max(len(format_term(t, self.n)) for t in self.state.support)
+        width = max(len(format_term(t)) for t in self.state.support)
         lines = []
         for t, cells in self.table():
             shown = []
@@ -99,7 +99,7 @@ class BuildSession:
                 mark = names[v - 1] if state == CELL_IN else marks[state]
                 shown.append(paint[state].format(mark) if color else mark)
             star = "" if t in self.state.assigned else "  (open)"
-            lines.append(f"{format_term(t, self.n):<{width}}  {' '.join(shown)}{star}")
+            lines.append(f"{format_term(t):<{width}}  {' '.join(shown)}{star}")
         return "\n".join(lines)
 
 

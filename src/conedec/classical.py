@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .division import RelDivision
-from .terms import Term, VarSet, enumerate_terms, pure_power
+from .terms import Term, VarSet, check_permutation, enumerate_terms, pure_power
 
 
 def _pommaret_mult(terms, order: tuple[int, ...]) -> dict[Term, VarSet]:
@@ -15,20 +15,11 @@ def _pommaret_mult(terms, order: tuple[int, ...]) -> dict[Term, VarSet]:
     return {t: frozenset(order[: lo + 1]) for t, lo in lowest.items()}
 
 
-def _check_order(order, n: int) -> tuple[int, ...]:
-    if order is None:
-        return tuple(range(1, n + 1))
-    order = tuple(order)
-    if sorted(order) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}: {order}")
-    return order
-
-
 def pommaret_on_slice(n: int, d: int, order=None) -> RelDivision:
     """Triangular assignment on the full degree-d slice: the multiplicative
     variables of t are those at or below its smallest variable, smallness
     taken along the given variable order (ascending indices by default)."""
-    order = _check_order(order, n)
+    order = tuple(range(1, n + 1)) if order is None else check_permutation(order, n)
     return RelDivision.on_slice(n, d, _pommaret_mult(enumerate_terms(n, d), order))
 
 

@@ -215,8 +215,8 @@ def cmd_closure(args) -> int:
     payload["certified"] = result.certified
     bad = result.counterexample
     if bad is not None:  # ideal: one term; escalier: [term, divisor]
-        payload["counterexample"] = (format_term(bad, div.n) if args.mode == "ideal"
-                                     else [format_term(t, div.n) for t in bad])
+        payload["counterexample"] = (format_term(bad) if args.mode == "ideal"
+                                     else [format_term(t) for t in bad])
     _print_json(payload)
     return 0 if result.certified else 1
 

@@ -29,7 +29,7 @@ class ClosureReport:
     witnesses: tuple[Witness, ...]
 
     def to_json_dict(self) -> dict:
-        fmt = lambda t: format_term(t, self.n)
+        fmt = format_term
         return {
             "seed": [fmt(t) for t in self.seed],
             "closure": [fmt(t) for t in self.closure],
@@ -52,8 +52,7 @@ def _reach(div: RelDivision, seed, forward: bool) -> ClosureReport:
     try:
         start = sorted({table.row[tuple(t)] for t in seed})  # rows are in deg-lex order
     except KeyError as exc:
-        bad = format_term(exc.args[0])  # named by its own length, which may not be n
-        raise LookupError(f"seed term {bad} not in the support") from None
+        raise LookupError(f"seed term {format_term(exc.args[0])} not in the support") from None
     reached = list(walk(table.heads if forward else table.tails, start))
     witnesses: list[Witness] = []
     for b, a in reached:

@@ -22,6 +22,7 @@ from .terms import (
     Term,
     VarSet,
     at_most_masks,
+    check_permutation,
     deglex_key,
     degree,
     format_term,
@@ -55,9 +56,9 @@ def _fmt_violation(v: dict, n: int) -> dict:
     out = {}
     for key, val in v.items():
         if key in ("u", "v", "witness", "term") and isinstance(val, tuple):
-            out[key] = format_term(val, n)
+            out[key] = format_term(val)
         elif key == "terms":
-            out[key] = [format_term(t, n) for t in val]
+            out[key] = [format_term(t) for t in val]
         elif key == "variable":
             out[key] = var_names(n)[val - 1]
         else:
@@ -131,14 +132,14 @@ class RelDivision:
             if len(t) != self.n or any(e < 0 for e in t):
                 raise ValueError(f"bad exponent vector {t} for n={self.n}")
             if t in seen:
-                raise ValueError(f"duplicate term {format_term(t, self.n)}")
+                raise ValueError(f"duplicate term {format_term(t)}")
             seen.add(t)
         if set(self.mult) != seen:
             raise ValueError("assignment keys differ from the support")
         allvars = set(range(1, self.n + 1))
         for t, m in self.mult.items():
             if not set(m) <= allvars:
-                raise ValueError(f"variable indices out of range in M({format_term(t, self.n)})")
+                raise ValueError(f"variable indices out of range in M({format_term(t)})")
         if self.degree is not None and (
                 any(degree(t) != self.degree for t in seen)
                 or len(seen) != comb(self.degree + self.n - 1, self.n - 1)):
@@ -171,7 +172,7 @@ class RelDivision:
 
     def _require(self, t: Term) -> None:
         if t not in self.mult:
-            raise LookupError(f"term {format_term(t, self.n)} not in the support")
+            raise LookupError(f"term {format_term(t)} not in the support")
 
     def multiplicative_set(self, t: Term) -> VarSet:
         self._require(t)
@@ -207,7 +208,7 @@ class RelDivision:
         v = self.involutive_divisor(w)
         if v is None:
             raise NoInvolutiveDivisorError(
-                f"no involutive divisor for {format_term(w, self.n)}")
+                f"no involutive divisor for {format_term(w)}")
         return v
 
     def sigma_profile(self) -> tuple[int, ...]:
@@ -223,7 +224,7 @@ class RelDivision:
             raise InvalidDivisionError("peak is defined on full-slice assignments only")
         peaks = self._peaks()
         if len(peaks) != 1:
-            names = [format_term(u, self.n) for u in peaks]
+            names = [format_term(u) for u in peaks]
             raise InvalidDivisionError(
                 "no peak" if not peaks else f"multiple peaks: {', '.join(names)}")
         return peaks[0]
@@ -297,8 +298,7 @@ class RelDivision:
 
     def permuted(self, pi: tuple[int, ...]) -> "RelDivision":
         """Rename variable i to pi[i-1] everywhere."""
-        if sorted(pi) != list(range(1, self.n + 1)):
-            raise ValueError(f"not a permutation of 1..{self.n}: {pi}")
+        pi = check_permutation(pi, self.n)
         new_mult = {}
         for t, m in self.mult.items():
             t2 = [0] * self.n
@@ -316,7 +316,7 @@ class RelDivision:
             "degree": self.degree,
             "variables": names,
             "multiplicative": {
-                format_term(t, self.n): format_varset(self.mult[t], self.n)
+                format_term(t): format_varset(self.mult[t], self.n)
                 for t in self.support
             },
         }

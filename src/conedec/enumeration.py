@@ -98,7 +98,7 @@ class PartialAssignment:
     def _feasible(self, t: Term) -> None:
         if not self._sizes(t, self.required(t)):
             raise ConflictError(
-                f"no admissible set size left for {format_term(t, self.n)}")
+                f"no admissible set size left for {format_term(t)}")
 
     def _not_superset(self, t: Term, a: VarSet) -> None:
         """Record that M(t) must not contain all of a, for an open term t.
@@ -118,22 +118,22 @@ class PartialAssignment:
     def assign(self, t: Term, m: VarSet) -> "PartialAssignment":
         """New state with M(t) = m; raises ConflictError when impossible."""
         if t not in self.forced_out:
-            raise LookupError(f"term {format_term(t, self.n)} not in the support")
+            raise LookupError(f"term {format_term(t)} not in the support")
         m = frozenset(m)
         if t in self.assigned:
-            raise ConflictError(f"{format_term(t, self.n)} is already assigned")
+            raise ConflictError(f"{format_term(t)} is already assigned")
         if not m or not m <= set(range(1, self.n + 1)):
             raise ConflictError(f"inadmissible multiplicative set {sorted(m)}")
         need = self.required(t)
         if not need <= m:
-            raise ConflictError(f"{format_term(t, self.n)} must keep {sorted(need - m)}")
+            raise ConflictError(f"{format_term(t)} must keep {sorted(need - m)}")
         if m & self.forced_out[t]:
             raise ConflictError(
-                f"{format_term(t, self.n)} must avoid {sorted(m & self.forced_out[t])}")
+                f"{format_term(t)} must avoid {sorted(m & self.forced_out[t])}")
         for g in self.groups[t]:
             if g <= m:
                 raise ConflictError(
-                    f"{format_term(t, self.n)} may not take all of {sorted(g)}")
+                    f"{format_term(t)} may not take all of {sorted(g)}")
         if self.budget[len(m)] <= 0:
             raise ConflictError(f"no size-{len(m)} set left in the profile budget")
         nxt = self.copy()
@@ -166,12 +166,6 @@ def seed_constraints(n: int, d: int) -> PartialAssignment:
         {},
         [0, *sigma_expected(n, d)],
     )
-
-
-def _serialize(div: RelDivision) -> bytes:
-    return ";".join(
-        ",".join(str(v) for v in sorted(div.mult[t])) for t in div.support
-    ).encode("ascii")
 
 
 def _least_form(div: RelDivision, below_own: bool = False):

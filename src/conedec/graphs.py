@@ -35,14 +35,14 @@ class LabeledDigraph:
     def _named_edges(self) -> Iterator[tuple[str, str, str | None]]:
         """Arcs as (tail, head, label) names, in arc order."""
         names = var_names(self.n)
-        node = [format_term(t, self.n) for t in self.nodes]
+        node = [format_term(t) for t in self.nodes]
         return ((node[t], node[h], names[j - 1] if j else None) for t, h, j in self.arcs)
 
     def to_dot(self) -> str:
         out = io.StringIO()  # no list of lines next to the text
         out.write("digraph division {\n")
         for t in self.nodes:
-            out.write(f'  "{format_term(t, self.n)}";\n')
+            out.write(f'  "{format_term(t)}";\n')
         for tail, head, label in self._named_edges():
             attr = f' [label="{label}"]' if label is not None else ""
             out.write(f'  "{tail}" -> "{head}"{attr};\n')
@@ -162,7 +162,7 @@ def graph_from_edge_list(n: int, nodes, edges) -> LabeledDigraph:
     for e in edges:
         tail, head, label = tuple(e[0]), tuple(e[1]), e[2] if len(e) > 2 else None
         if tail == head:
-            raise ValueError(f"self loop at {format_term(tail, n)}")
+            raise ValueError(f"self loop at {format_term(tail)}")
         if tail not in row or head not in row:
             raise ValueError("edge endpoint outside the node set")
         if label is not None and not 1 <= label <= n:

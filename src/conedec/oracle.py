@@ -10,12 +10,15 @@ from __future__ import annotations
 from functools import cache
 
 from .division import RelDivision, ValidationReport
-from .terms import Term, degree, deglex_key, enumerate_terms, term_divides
+from .terms import Term, degree, deglex_key, enumerate_terms, format_term, term_divides
 
 
 def walk_degrees(div: RelDivision, margin: int) -> range:
     """The degrees of every oracle walk: above the lowest support degree (there a
-    term is in a cone only as its vertex) up to the highest + margin; none on an empty support."""
+    term is in a cone only as its vertex) up to the highest + margin; none on an
+    empty support.  A negative margin is a ValueError."""
+    if margin < 0:
+        raise ValueError("margin must be non-negative")
     terms = div.support  # in deg-lex order
     return range(degree(terms[0]) + 1, degree(terms[-1]) + margin + 1) if terms else range(0)
 
@@ -23,8 +26,6 @@ def walk_degrees(div: RelDivision, margin: int) -> range:
 def verify_division_covering(div: RelDivision, margin: int = 3) -> ValidationReport:
     """Check unique cone coverage of every multiple of the support, degree by
     degree over walk_degrees; margin 0 on a slice walks nothing."""
-    if margin < 0:
-        raise ValueError("margin must be non-negative")
     violations: list[dict] = []
     for d in walk_degrees(div, margin):
         for w in enumerate_terms(div.n, d):
@@ -42,7 +43,7 @@ def _members(div: RelDivision, members) -> list[Term]:
     members = [tuple(t) for t in members]
     for t in members:
         if t not in div.mult:
-            raise LookupError(f"member {t} not in the support")
+            raise LookupError(f"member {format_term(t)} not in the support")
     return members
 
 

@@ -67,6 +67,14 @@ def varmask(m) -> int:
     return sum(1 << (i - 1) for i in m)
 
 
+def check_permutation(pi, n: int) -> tuple[int, ...]:
+    """pi as a tuple, checked to list the variables 1..n in some order."""
+    pi = tuple(pi)
+    if sorted(pi) != list(range(1, n + 1)):
+        raise ValueError(f"not a permutation of 1..{n}: {pi}")
+    return pi
+
+
 def at_most_masks(terms) -> list[dict[int, int]]:
     """Entry i maps each exponent e that x_{i+1} takes among the terms to the
     bitmask (bit k for terms[k]) of the terms with exponent at most e there."""
@@ -159,11 +167,10 @@ def var_index(name: str, n: int) -> int:
     raise ValueError(f"unknown variable {name!r} for n={n}")
 
 
-def format_term(t: Term, n: int | None = None) -> str:
-    """Named-product form: x^2*y, y*z*t, 1 for the constant term."""
-    if n is None:
-        n = len(t)
-    names = var_names(n)
+def format_term(t: Term) -> str:
+    """Named-product form in len(t) variables: x^2*y, y*z*t; 1 for the
+    constant term, () included."""
+    names = var_names(len(t)) if t else ()
     parts = [names[i] + (f"^{e}" if e > 1 else "") for i, e in enumerate(t) if e > 0]
     return "*".join(parts) if parts else "1"
 

@@ -99,6 +99,15 @@ def orbit_divisions_32() -> list[RelDivision]:
     ]
 
 
+def serialize(div: RelDivision) -> bytes:
+    """The rows of div in support order, each its sorted multiplicative
+    variables joined by ',', the rows joined by ';': the form that
+    canonical_form minimizes over renamings."""
+    return ";".join(
+        ",".join(str(v) for v in sorted(div.mult[t])) for t in div.support
+    ).encode("ascii")
+
+
 def mutated(data, div: RelDivision) -> RelDivision:
     """div with the multiplicative set of one row replaced by a hypothesis draw."""
     from hypothesis import strategies as st

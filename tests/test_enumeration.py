@@ -24,10 +24,10 @@ from conedec import (
     sigma_expected,
 )
 from conedec import enumeration
-from conedec.enumeration import _hall_fails, _least_form, _serialize
+from conedec.enumeration import _hall_fails, _least_form
 from conedec.terms import format_term, pure_power, support, term_div, term_gcd
 
-from conftest import orbit_divisions_32, term
+from conftest import orbit_divisions_32, serialize, term
 
 
 def nonempty_subsets(n):
@@ -54,8 +54,8 @@ def brute_force_valid(n, d):
 
 @pytest.mark.parametrize("n,d", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
 def test_stream_matches_brute_force(n, d):
-    got = {_serialize(div) for div in enumerate_divisions(n, d)}
-    want = {_serialize(div) for div in brute_force_valid(n, d)}
+    got = {serialize(div) for div in enumerate_divisions(n, d)}
+    want = {serialize(div) for div in brute_force_valid(n, d)}
     assert got == want
 
 
@@ -86,7 +86,7 @@ def test_stream_matches_single_phase_search(n, d):
     assert [div.to_json() for div in enumerate_divisions(n, d)] == [
         div.to_json() for div in want]
     assert [div.to_json() for div in enumerate_divisions(n, d, up_to_symmetry=True)] == [
-        div.to_json() for div in want if canonical_form(div) == _serialize(div)]
+        div.to_json() for div in want if canonical_form(div) == serialize(div)]
 
 
 def test_no_conflict_after_the_first_division(monkeypatch):
@@ -113,8 +113,8 @@ def test_no_conflict_after_the_first_division(monkeypatch):
 
 
 def test_stream_is_deterministic():
-    a = [_serialize(d) for d in enumerate_divisions(3, 2)]
-    b = [_serialize(d) for d in enumerate_divisions(3, 2)]
+    a = [serialize(d) for d in enumerate_divisions(3, 2)]
+    b = [serialize(d) for d in enumerate_divisions(3, 2)]
     assert a == b
     assert len(a) == len(set(a))
 
@@ -175,7 +175,7 @@ def test_orbit_size_counts_distinct_renamings():
 
 def test_representatives_attain_their_canonical_form():
     for div in enumerate_divisions(3, 2, up_to_symmetry=True):
-        assert _serialize(div) == canonical_form(div)
+        assert serialize(div) == canonical_form(div)
 
 
 @settings(max_examples=30, deadline=None)
@@ -385,7 +385,7 @@ def reference_candidates(pa, t):
 
 def reference_assign(pa, t, m):
     def name(u):
-        return format_term(u, pa.n)
+        return format_term(u)
 
     def force_out(u, v):
         if v in nxt.forced_in[u]:
@@ -538,14 +538,14 @@ def test_assign_never_changes_the_parent_state(slice_, data):
 
 def renamed_forms(div):
     """The reference: every renaming of div built in full and serialized."""
-    return [_serialize(div.permuted(pi)) for pi in permutations(range(1, div.n + 1))]
+    return [serialize(div.permuted(pi)) for pi in permutations(range(1, div.n + 1))]
 
 
 def assert_matches_renamed_forms(div):
     forms = renamed_forms(div)
     assert canonical_form(div) == min(forms)
     assert orbit_size(div) == len(set(forms))
-    assert (_least_form(div, below_own=True) is not None) == (_serialize(div) == min(forms))
+    assert (_least_form(div, below_own=True) is not None) == (serialize(div) == min(forms))
 
 
 def all_assignments(n, d):

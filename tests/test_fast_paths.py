@@ -34,9 +34,8 @@ from conedec import (
     ufnarovsky_graph,
     verify_order_ideal,
 )
-from conedec.enumeration import _serialize
 
-from conftest import mutated
+from conftest import mutated, serialize
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -236,6 +235,6 @@ def test_canonical_form_matches_renamed_divisions(bases, data):
     div = relabelled(data, bases)
     if data.draw(st.booleans()):
         div = mutated(data, div)
-    forms = [_serialize(div.permuted(pi)) for pi in permutations(range(1, div.n + 1))]
+    forms = [serialize(div.permuted(pi)) for pi in permutations(range(1, div.n + 1))]
     assert canonical_form(div) == min(forms)
     assert orbit_size(div) == len(set(forms))

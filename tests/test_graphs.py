@@ -195,10 +195,10 @@ def deglex_keyed_output(g: LabeledDigraph) -> tuple[str, str]:
     deg-lex keys of their ends, then the label, and formatting every end."""
     names = var_names(g.n)
     edges = sorted(g.edges, key=lambda e: (deglex_key(e[0]), deglex_key(e[1]), e[2] or 0))
-    dot = ["digraph division {", *(f'  "{format_term(t, g.n)}";' for t in g.nodes)]
+    dot = ["digraph division {", *(f'  "{format_term(t)}";' for t in g.nodes)]
     rows = []
     for tail, head, label in edges:
-        rows.append([format_term(tail, g.n), format_term(head, g.n),
+        rows.append([format_term(tail), format_term(head),
                      names[label - 1] if label is not None else None])
         attr = f' [label="{rows[-1][2]}"]' if label is not None else ""
         dot.append(f'  "{rows[-1][0]}" -> "{rows[-1][1]}"{attr};')

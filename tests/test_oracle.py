@@ -19,6 +19,8 @@ from conedec import (
     degree,
     enumerate_divisions,
     enumerate_terms,
+    escalier_from_seed,
+    ideal_from_seed,
     janet_general,
     parse_term,
     pommaret_general,
@@ -76,9 +78,16 @@ def test_covering_margin_zero(uncovering31):
     assert not verify_division_covering(uncovering31, 2).valid
 
 
-def test_covering_rejects_negative_margin(facile):
-    with pytest.raises(ValueError):
-        verify_division_covering(facile, -1)
+@pytest.mark.parametrize("check", [
+    verify_division_covering, verify_ideal_equality, verify_order_ideal,
+    ideal_from_seed, escalier_from_seed,
+], ids=lambda f: f.__name__)
+def test_oracle_rejects_negative_margin(check):
+    # a negative margin must not certify a seed that margin 1 refutes
+    div = pommaret_on_slice(3, 2)
+    assert verify_ideal_equality(div, [(1, 1, 0)], 1) == (False, (1, 2, 0))
+    with pytest.raises(ValueError, match="^margin must be non-negative$"):
+        check(div, -1) if check is verify_division_covering else check(div, [(1, 1, 0)], -1)
 
 
 @pytest.fixture

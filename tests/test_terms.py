@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -7,16 +8,30 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conedec import (
+    BuildSession,
+    brute_compliant,
+    compliant_closure,
+    graph_from_edge_list,
+    pommaret_on_slice,
+    reachable_backward,
+    reachable_forward,
+    revenant_closure,
+    seed_constraints,
+    ufnarovsky_graph,
+    verify_ideal_equality,
+    verify_order_ideal,
+)
 from conedec import terms as T
 
 
 def test_deglex_order_32():
-    got = [T.format_term(t, 3) for t in T.enumerate_terms(3, 2)]
+    got = [T.format_term(t) for t in T.enumerate_terms(3, 2)]
     assert got == ["x^2", "x*y", "y^2", "x*z", "y*z", "z^2"]
 
 
 def test_deglex_order_33():
-    got = [T.format_term(t, 3) for t in T.enumerate_terms(3, 3)]
+    got = [T.format_term(t) for t in T.enumerate_terms(3, 3)]
     assert got == ["x^3", "x^2*y", "x*y^2", "y^3", "x^2*z",
                    "x*y*z", "y^2*z", "x*z^2", "y*z^2", "z^3"]
 
@@ -100,7 +115,7 @@ def test_support_min_max():
 def test_gcd_example():
     a = T.parse_term("x^2*z", 4)
     b = T.parse_term("y*z*t", 4)
-    assert T.format_term(T.term_gcd(a, b), 4) == "z"
+    assert T.format_term(T.term_gcd(a, b)) == "z"
 
 
 def test_sigma_expected_values():
@@ -136,7 +151,7 @@ def test_vandermonde_refuses_nothing_silently():
 def test_format_parse_roundtrip(nt):
     n, exps = nt
     t = tuple(exps)
-    assert T.parse_term(T.format_term(t, n), n) == t
+    assert T.parse_term(T.format_term(t), n) == t
 
 
 @given(st.integers(1, 12), st.text("xyzt0123456789^*[], -", max_size=16))
@@ -146,7 +161,7 @@ def test_parse_fuzzed_text_rejects_or_roundtrips(n, text):
     except ValueError:
         return
     assert len(t) == n and all(e >= 0 for e in t)
-    assert T.parse_term(T.format_term(t, n), n) == t
+    assert T.parse_term(T.format_term(t), n) == t
 
 
 def test_parse_variants():
@@ -168,10 +183,53 @@ def test_parse_rejects_garbage():
 def test_var_names():
     assert T.var_names(4) == ["x", "y", "z", "t"]
     assert T.var_names(5) == ["x1", "x2", "x3", "x4", "x5"]
-    assert T.format_term((0, 0, 0, 0, 2), 5) == "x5^2"
+    assert T.format_term((0, 0, 0, 0, 2)) == "x5^2"
     assert T.parse_term("x5^2", 5) == (0, 0, 0, 0, 2)
 
 
 def test_degree_zero_term():
-    assert T.format_term((0, 0, 0), 3) == "1"
+    assert T.format_term((0, 0, 0)) == "1"
+    assert T.format_term(()) == "1"
     assert T.enumerate_terms(3, 0) == [(0, 0, 0)]
+
+
+@pytest.mark.parametrize("n, d", [(3, 2), (5, 2), (6, 1)])
+def test_format_term_reads_the_count_off_the_term(n, d):
+    names = T.var_names(n)  # format_term must read n off len(t)
+    for t in T.enumerate_terms(n, d):
+        want = "*".join(names[i] + (f"^{e}" if e > 1 else "") for i, e in enumerate(t) if e)
+        assert T.format_term(t) == want
+
+
+# lookups on the Pommaret (3,2) division, its slice and its graph, each given t
+# where a support term of the slice is looked up
+LOOKUPS = {
+    "cone_contains": lambda div, t: div.cone_contains(t, (1, 1, 0)),
+    "multiplicative_set": lambda div, t: div.multiplicative_set(t),
+    "nonmultiplicative_set": lambda div, t: div.nonmultiplicative_set(t),
+    "x_of": lambda div, t: div.x_of(t, (1, 1, 0)),
+    "PartialAssignment.assign": lambda div, t: seed_constraints(3, 2).assign(t, {1}),
+    "BuildSession.assign": lambda div, t: BuildSession(3, 2).assign(t, {1}),
+    "brute_compliant": lambda div, t: brute_compliant(div, [t]),
+    "verify_ideal_equality": lambda div, t: verify_ideal_equality(div, [t], 1),
+    "verify_order_ideal": lambda div, t: verify_order_ideal(div, [t], 1),
+    "compliant_closure": lambda div, t: compliant_closure(div, [t]),
+    "revenant_closure": lambda div, t: revenant_closure(div, [t]),
+    "reachable_forward": lambda div, t: reachable_forward(ufnarovsky_graph(div), [t]),
+    "reachable_backward": lambda div, t: reachable_backward(ufnarovsky_graph(div), [t]),
+}
+WRONG_LENGTH = [(0, 0, 1, 1), ()]
+
+
+@pytest.mark.parametrize("t", WRONG_LENGTH, ids=["four-vars", "empty"])
+@pytest.mark.parametrize("lookup", LOOKUPS.values(), ids=LOOKUPS.keys())
+def test_a_wrong_length_term_is_named_in_a_lookup_error(lookup, t):
+    with pytest.raises(LookupError) as info:
+        lookup(pommaret_on_slice(3, 2), t)
+    assert f" {T.format_term(t)} " in str(info.value)
+
+
+@pytest.mark.parametrize("t", WRONG_LENGTH, ids=["four-vars", "empty"])
+def test_a_wrong_length_self_loop_is_named(t):
+    with pytest.raises(ValueError, match=rf"^self loop at {re.escape(T.format_term(t))}$"):
+        graph_from_edge_list(3, [(1, 1, 0)], [(t, t)])
