@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .division import RelDivision
 from .enumeration import ConflictError, PartialAssignment, seed_constraints
-from .terms import Term, VarSet, format_term, parse_term, parse_varset, var_names
+from .terms import Term, VarSet, format_term, parse_term, parse_varset, support_key, var_names
 
 
 class ScriptError(Exception):
@@ -52,7 +52,7 @@ class BuildSession:
 
     def assign(self, t: Term, m: VarSet) -> None:
         """Apply one choice and what it settles; ConflictError changes nothing."""
-        m = frozenset(m)
+        t, m = support_key(t, self.state.forced_out), frozenset(m)
         self.state = _settle(self.state.assign(t, m))
         self.log.append((t, m))
 
@@ -68,6 +68,7 @@ class BuildSession:
     # -- rendering ---------------------------------------------------------
 
     def cell_state(self, t: Term, v: int) -> str:
+        t = support_key(t, self.state.forced_out)
         if v in self.state.required(t):
             return CELL_IN
         if t in self.state.assigned or v in self.state.forced_out[t]:

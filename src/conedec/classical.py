@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .division import RelDivision
-from .terms import Term, VarSet, check_permutation, enumerate_terms, pure_power
+from .terms import Term, VarSet, check_permutation, check_term, enumerate_terms, pure_power
 
 
 def _pommaret_mult(terms, order: tuple[int, ...]) -> dict[Term, VarSet]:
@@ -32,7 +32,7 @@ def pommaret_general(terms, n: int) -> RelDivision:
 def _janet_mult(terms, n: int) -> dict[Term, VarSet]:
     """Janet's rule: x_j is multiplicative for t exactly when no term that
     agrees with t on every exponent above j has a larger j-th exponent."""
-    ts = [tuple(t) for t in terms]
+    ts = [check_term(tuple(t), n) for t in terms]
     top: dict[tuple[int, Term], int] = {}  # (j, exponents above j) -> largest j-th
     for t in ts:
         for j in range(1, n + 1):
@@ -55,15 +55,10 @@ def janet_on_slice(n: int, d: int) -> RelDivision:
 def detect_pommaret(div: RelDivision) -> tuple[int, ...] | None:
     """Variable order making a valid full-slice assignment triangular, or None.
 
-    The assignment is triangular up to renaming exactly when its
-    multiplicative sets form a chain under inclusion; the order is then read
-    off the pure powers and confirmed by reconstruction.
+    The only candidate order ranks each variable by the size of the
+    multiplicative set of its pure power; reconstruction confirms it.
     """
     div.require_valid("recognition")
-    sets = sorted(div.mult.values(), key=lambda m: (len(m), sorted(m)))
-    for a, b in zip(sets, sets[1:]):
-        if not a <= b:
-            return None
     n, d = div.n, div.degree
     order = tuple(sorted(range(1, n + 1),
                          key=lambda i: (len(div.mult[pure_power(n, d, i)]), i)))

@@ -16,7 +16,7 @@ import json
 from . import oracle
 from .division import RelDivision
 from .graphs import walk
-from .terms import Term, degree, format_term, term_lcm
+from .terms import Term, check_term, degree, format_term, support_key, term_lcm
 
 Witness = tuple[Term, Term, Term, Term, Term]  # added, s, t, lcm, vertex
 
@@ -49,10 +49,7 @@ def _reach(div: RelDivision, seed, forward: bool) -> ClosureReport:
     witness per member reached, in the order reached."""
     div.require_valid("a closure")
     terms, table = div.support, div.pair_table
-    try:
-        start = sorted({table.row[tuple(t)] for t in seed})  # rows are in deg-lex order
-    except KeyError as exc:
-        raise LookupError(f"seed term {format_term(exc.args[0])} not in the support") from None
+    start = sorted({table.row[support_key(t, table.row)] for t in seed})  # rows in deg-lex order
     reached = list(walk(table.heads if forward else table.tails, start))
     witnesses: list[Witness] = []
     for b, a in reached:
@@ -103,7 +100,7 @@ def escalier_from_seed(div: RelDivision, seed, margin: int = 3) -> ClosureResult
 def is_borel_fixed_slice(terms, n: int) -> bool:
     """Whether exchanging any variable for a larger one keeps every term in
     the set; terms must share one degree."""
-    ts = {tuple(t) for t in terms}
+    ts = {check_term(tuple(t), n) for t in terms}
     if not ts:
         return True
     degs = {degree(t) for t in ts}

@@ -23,6 +23,7 @@ from .terms import (
     VarSet,
     at_most_masks,
     check_permutation,
+    check_term,
     deglex_key,
     degree,
     format_term,
@@ -31,6 +32,7 @@ from .terms import (
     parse_varset,
     pure_power,
     sigma_expected,
+    support_key,
     term_lcm,
     var_names,
 )
@@ -129,9 +131,7 @@ class RelDivision:
             raise ValueError("need at least one variable")
         seen = set()
         for t in self.support:
-            if len(t) != self.n or any(e < 0 for e in t):
-                raise ValueError(f"bad exponent vector {t} for n={self.n}")
-            if t in seen:
+            if check_term(t, self.n) in seen:
                 raise ValueError(f"duplicate term {format_term(t)}")
             seen.add(t)
         if set(self.mult) != seen:
@@ -170,26 +170,19 @@ class RelDivision:
 
     # -- basic queries -----------------------------------------------------
 
-    def _require(self, t: Term) -> None:
-        if t not in self.mult:
-            raise LookupError(f"term {format_term(t)} not in the support")
-
     def multiplicative_set(self, t: Term) -> VarSet:
-        self._require(t)
-        return self.mult[t]
+        return self.mult[support_key(t, self.mult)]
 
     def nonmultiplicative_set(self, t: Term) -> VarSet:
-        self._require(t)
-        return frozenset(range(1, self.n + 1)) - self.mult[t]
+        return frozenset(range(1, self.n + 1)) - self.mult[support_key(t, self.mult)]
 
     def cone_contains(self, vertex: Term, w: Term) -> bool:
         """w lies in the cone of vertex: at every variable the exponents of
         vertex and w agree, or w has the larger one at a multiplicative
         variable of vertex."""
-        self._require(vertex)
+        m = self.mult[support_key(vertex, self.mult)]
         if len(w) != self.n:
             raise ValueError(f"term {w} does not have {self.n} variables")
-        m = self.mult[vertex]
         for i, (a, b) in enumerate(zip(vertex, w), 1):
             if a != b and (a > b or i not in m):
                 return False
@@ -202,9 +195,7 @@ class RelDivision:
 
     def x_of(self, s: Term, t: Term) -> Term:
         """The support term whose cone contains lcm(s, t)."""
-        self._require(s)
-        self._require(t)
-        w = term_lcm(s, t)
+        w = term_lcm(support_key(s, self.mult), support_key(t, self.mult))
         v = self.involutive_divisor(w)
         if v is None:
             raise NoInvolutiveDivisorError(

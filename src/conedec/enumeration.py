@@ -22,6 +22,7 @@ from .terms import (
     format_term,
     sigma_expected,
     support,
+    support_key,
     term_div,
     term_gcd,
     varmask,
@@ -81,6 +82,7 @@ class PartialAssignment:
         """Possible multiplicative sets for t under the current constraints,
         largest first, lexicographic on ties (combinations of the sorted free
         variables added to a fixed base come out in that order)."""
+        t = support_key(t, self.forced_out)
         if t in self.assigned:
             return [self.assigned[t]]
         base = self.required(t)
@@ -117,8 +119,7 @@ class PartialAssignment:
 
     def assign(self, t: Term, m: VarSet) -> "PartialAssignment":
         """New state with M(t) = m; raises ConflictError when impossible."""
-        if t not in self.forced_out:
-            raise LookupError(f"term {format_term(t)} not in the support")
+        t = support_key(t, self.forced_out)
         m = frozenset(m)
         if t in self.assigned:
             raise ConflictError(f"{format_term(t)} is already assigned")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import io
 
 from .division import RelDivision
-from .terms import Term, deglex_key, format_term, var_names
+from .terms import Term, check_term, deglex_key, format_term, support_key, var_names
 
 @dataclass(frozen=True)
 class LabeledDigraph:
@@ -69,10 +69,7 @@ def walk(step: Callable[[int], Iterable[int]], start) -> Iterator[tuple[int, int
 
 def _reachable(g: LabeledDigraph, seed, forward: bool) -> frozenset[Term]:
     nodes, row = g.nodes, {t: i for i, t in enumerate(g.nodes)}
-    try:
-        start = [row[t] for t in seed]
-    except KeyError as exc:
-        raise LookupError(f"seed term {format_term(exc.args[0])} is not a node") from None
+    start = [row[support_key(t, row)] for t in seed]
     step: list[list[int]] = [[] for _ in nodes]  # the rows one arc away
     for t, h, _ in g.arcs:
         step[t if forward else h].append(h if forward else t)
@@ -154,7 +151,7 @@ def generalized_graph(div: RelDivision) -> LabeledDigraph:
 def graph_from_edge_list(n: int, nodes, edges) -> LabeledDigraph:
     """Build a graph from terms: the nodes in any order, the edges as
     (tail, head[, label]) triples, label None or a variable index 1..n."""
-    nodes = tuple(sorted((tuple(t) for t in nodes), key=deglex_key))
+    nodes = tuple(sorted((check_term(tuple(t), n) for t in nodes), key=deglex_key))
     row = {t: i for i, t in enumerate(nodes)}
     if len(row) != len(nodes):
         raise ValueError("duplicate nodes")
@@ -165,7 +162,7 @@ def graph_from_edge_list(n: int, nodes, edges) -> LabeledDigraph:
             raise ValueError(f"self loop at {format_term(tail)}")
         if tail not in row or head not in row:
             raise ValueError("edge endpoint outside the node set")
-        if label is not None and not 1 <= label <= n:
+        if label is not None and not (type(label) is int and 1 <= label <= n):
             raise ValueError(f"bad edge label {label}")
         arcs.add((row[tail], row[head], label or 0))
     return LabeledDigraph(n, nodes, tuple(sorted(arcs)))

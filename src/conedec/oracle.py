@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import cache
 
 from .division import RelDivision, ValidationReport
-from .terms import Term, degree, deglex_key, enumerate_terms, format_term, term_divides
+from .terms import Term, degree, deglex_key, enumerate_terms, support_key, term_divides
 
 
 def walk_degrees(div: RelDivision, margin: int) -> range:
@@ -38,20 +38,11 @@ def verify_division_covering(div: RelDivision, margin: int = 3) -> ValidationRep
     return ValidationReport(div.n, violations)
 
 
-def _members(div: RelDivision, members) -> list[Term]:
-    """The members as term tuples, checked to be in the support."""
-    members = [tuple(t) for t in members]
-    for t in members:
-        if t not in div.mult:
-            raise LookupError(f"member {format_term(t)} not in the support")
-    return members
-
-
 def verify_ideal_equality(div: RelDivision, members, margin: int = 3):
     """Do the cones of the member terms cut out, slice by slice, the same set
     as ordinary divisibility by the members?  Checked over walk_degrees, up to
     the highest support degree + margin; returns (ok, counterexample)."""
-    members = _members(div, members)
+    members = [support_key(t, div.mult) for t in members]
     for d in walk_degrees(div, margin):
         for w in enumerate_terms(div.n, d):
             plain = any(term_divides(m, w) for m in members)
@@ -68,7 +59,7 @@ def verify_order_ideal(div: RelDivision, members, margin: int = 3):
 
     Only the divisors w / x_i of covered walked terms w are tested: a divisor of
     w down to the lowest support degree is reached by walked one-variable steps."""
-    members = _members(div, members)
+    members = [support_key(t, div.mult) for t in members]
 
     @cache
     def covered(w: Term) -> bool:
@@ -89,7 +80,7 @@ def verify_order_ideal(div: RelDivision, members, margin: int = 3):
 def brute_compliant(div: RelDivision, seed) -> frozenset[Term]:
     """Fixpoint of the defining rule taken literally: for every member t and
     every support term s, the cone vertex of lcm(s, t) joins the set."""
-    members = set(_members(div, seed))
+    members = {support_key(t, div.mult) for t in seed}
     todo = sorted(members, key=deglex_key)
     for t in todo:  # grows while it is walked
         for s in div.support:

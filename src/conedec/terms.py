@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Sequence
 from math import comb
 
 Term = tuple[int, ...]
@@ -73,6 +74,32 @@ def check_permutation(pi, n: int) -> tuple[int, ...]:
     if sorted(pi) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {pi}")
     return pi
+
+
+def check_term(t, n: int) -> Term:
+    """t itself when it is a term in n variables: a tuple of n exponents, each
+    an int >= 0; else ValueError."""
+    if not (type(t) is tuple and len(t) == n and all(type(e) is int and e >= 0 for e in t)):
+        raise ValueError(f"bad exponent vector {t!r} for n={n}")
+    return t
+
+
+def support_key(t, support) -> Term:
+    """t, any sequence of ints, as the tuple under which support (a set or
+    mapping keyed by terms) holds it; else LookupError naming t.  Items are
+    matched as tuples compare, not checked one by one: this runs once per
+    cone test."""
+    key = t if type(t) is tuple else tuple(t) if isinstance(t, Sequence) else None
+    try:
+        if key in support:
+            return key
+    except TypeError:  # an unhashable item
+        pass
+    try:
+        name = format_term(check_term(key, len(key)))
+    except (TypeError, ValueError):  # not a sequence of ints >= 0
+        name = repr(t)
+    raise LookupError(f"term {name} not in the support")
 
 
 def at_most_masks(terms) -> list[dict[int, int]]:
@@ -184,12 +211,8 @@ def parse_term(text: str, n: int) -> Term:
     s = text.strip()
     if not s:
         raise ValueError("empty term")
-    if s.startswith("["):
-        exps = json.loads(s)
-        if not (isinstance(exps, list) and len(exps) == n
-                and all(type(e) is int and e >= 0 for e in exps)):
-            raise ValueError(f"bad exponent array {text!r} for n={n}")
-        return tuple(exps)
+    if s.startswith("["):  # json.loads gives a list here or raises
+        return check_term(tuple(json.loads(s)), n)
     if s == "1":
         return (0,) * n
     exps = [0] * n

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +15,13 @@ from conedec import (
     enumerate_terms,
     janet_general,
     janet_on_slice,
+    orbit_size,
     parse_term,
     pommaret_general,
     pommaret_on_slice,
 )
 
-from conftest import term
+from conftest import serialize, term
 
 
 def test_pommaret_32_table(pommaret32):
@@ -112,13 +115,24 @@ def test_detect_rejects_non_chain(strange32):
 
 def test_detect_across_enumeration():
     # chain-shaped multiplicative sets are exactly the relabelled triangular ones
-    for div in enumerate_divisions(3, 2):
-        sets = sorted(div.mult.values(), key=lambda m: (len(m), sorted(m)))
-        chain = all(a <= b for a, b in zip(sets, sets[1:]))
-        got = detect_pommaret(div)
-        assert (got is not None) == chain
-        if got is not None:
-            assert pommaret_on_slice(3, 2, got).mult == div.mult
+    for n, d in ((2, 3), (3, 2), (3, 3)):
+        for div in enumerate_divisions(n, d):
+            sets = sorted(div.mult.values(), key=lambda m: (len(m), sorted(m)))
+            chain = all(a <= b for a, b in zip(sets, sets[1:]))
+            got = detect_pommaret(div)
+            assert (got is not None) == chain
+            if got is not None:
+                assert pommaret_on_slice(n, d, got).mult == div.mult
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_degree_one_divisions_are_pommaret_under_an_order(n):
+    # the n! orders give n! distinct divisions, and those are all there are
+    listed = {serialize(div) for div in enumerate_divisions(n, 1)}
+    orders = {serialize(pommaret_on_slice(n, 1, pi)) for pi in permutations(range(1, n + 1))}
+    assert listed == orders and len(orders) == factorial(n)
+    (orbit,) = enumerate_divisions(n, 1, up_to_symmetry=True)
+    assert orbit_size(orbit) == factorial(n)
 
 
 def test_detect_requires_validity(uncovering31):

@@ -93,7 +93,7 @@ def test_closure_rejects_foreign_seed(facile):
         compliant_closure(facile, [term("x^3")])
     # a term in four variables is named, not an IndexError
     for close in (compliant_closure, revenant_closure):
-        with pytest.raises(LookupError, match="seed term t not in the support"):
+        with pytest.raises(LookupError, match="^term t not in the support$"):
             close(facile, [(0, 0, 0, 1)])
 
 

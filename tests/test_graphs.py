@@ -110,9 +110,9 @@ def test_reachability_both_directions(pommaret32):
     assert fwd == {term(s) for s in ("z^2", "x*z", "y*z", "x*y", "y^2", "x^2")}
     assert reachable_forward(g, []) == frozenset()
     for reach in (reachable_forward, reachable_backward):
-        with pytest.raises(LookupError, match=r"^seed term x\^3 is not a node$"):
+        with pytest.raises(LookupError, match=r"^term x\^3 not in the support$"):
             reach(g, [term("x^3")])
-        with pytest.raises(LookupError, match=r"^seed term t\^2 is not a node$"):
+        with pytest.raises(LookupError, match=r"^term t\^2 not in the support$"):
             reach(g, [(0, 0, 0, 2)])  # a term in more variables than the graph
 
 
@@ -151,6 +151,13 @@ def test_graph_construction_guards():
         graph_from_edge_list(2, ((1, 0), (0, 1)), frozenset({((1, 0), (0, 1), 5)}))
     with pytest.raises(ValueError, match="duplicate nodes"):
         graph_from_edge_list(2, ((1, 0), (0, 1), [1, 0]), ())
+
+
+@pytest.mark.parametrize("label", [0, False, True, 3, 1.0, "x"])
+def test_edge_label_is_a_variable_index(label):
+    # True equals 1 and 1.0 compares like it, but neither is a variable index
+    with pytest.raises(ValueError, match=f"^bad edge label {label}$"):
+        graph_from_edge_list(2, ((1, 0), (0, 1)), [((1, 0), (0, 1), label)])
 
 
 def test_dot_output(pommaret32):

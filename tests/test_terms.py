@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 
 from conedec import (
     BuildSession,
+    RelDivision,
     brute_compliant,
     compliant_closure,
     graph_from_edge_list,
+    is_borel_fixed_slice,
+    janet_general,
     pommaret_on_slice,
     reachable_backward,
     reachable_forward,
@@ -201,6 +204,11 @@ def test_format_term_reads_the_count_off_the_term(n, d):
         assert T.format_term(t) == want
 
 
+def _assigned(session, t):
+    session.assign(t, {1})
+    return session.state, session.log
+
+
 # lookups on the Pommaret (3,2) division, its slice and its graph, each given t
 # where a support term of the slice is looked up
 LOOKUPS = {
@@ -209,7 +217,9 @@ LOOKUPS = {
     "nonmultiplicative_set": lambda div, t: div.nonmultiplicative_set(t),
     "x_of": lambda div, t: div.x_of(t, (1, 1, 0)),
     "PartialAssignment.assign": lambda div, t: seed_constraints(3, 2).assign(t, {1}),
-    "BuildSession.assign": lambda div, t: BuildSession(3, 2).assign(t, {1}),
+    "PartialAssignment.candidates": lambda div, t: seed_constraints(3, 2).candidates(t),
+    "BuildSession.assign": lambda div, t: _assigned(BuildSession(3, 2), t),
+    "BuildSession.cell_state": lambda div, t: BuildSession(3, 2).cell_state(t, 1),
     "brute_compliant": lambda div, t: brute_compliant(div, [t]),
     "verify_ideal_equality": lambda div, t: verify_ideal_equality(div, [t], 1),
     "verify_order_ideal": lambda div, t: verify_order_ideal(div, [t], 1),
@@ -224,9 +234,43 @@ WRONG_LENGTH = [(0, 0, 1, 1), ()]
 @pytest.mark.parametrize("t", WRONG_LENGTH, ids=["four-vars", "empty"])
 @pytest.mark.parametrize("lookup", LOOKUPS.values(), ids=LOOKUPS.keys())
 def test_a_wrong_length_term_is_named_in_a_lookup_error(lookup, t):
-    with pytest.raises(LookupError) as info:
+    with pytest.raises(LookupError, match=rf"^term {re.escape(T.format_term(t))} not in "):
         lookup(pommaret_on_slice(3, 2), t)
-    assert f" {T.format_term(t)} " in str(info.value)
+
+
+@pytest.mark.parametrize("lookup", LOOKUPS.values(), ids=LOOKUPS.keys())
+def test_an_absent_term_is_named_in_a_lookup_error(lookup):
+    with pytest.raises(LookupError, match=r"^term z\^3 not in the support$"):
+        lookup(pommaret_on_slice(3, 2), (0, 0, 3))
+
+
+@pytest.mark.parametrize("lookup", LOOKUPS.values(), ids=LOOKUPS.keys())
+def test_a_list_term_is_looked_up_as_its_tuple(lookup):
+    # equal answers; BuildSession's log compares equal only if it holds the tuple
+    div = pommaret_on_slice(3, 2)
+    assert lookup(div, [1, 1, 0]) == lookup(div, (1, 1, 0))
+
+
+@pytest.mark.parametrize("t", [[1.5, 1, 0], (-1, 2, 1), "xy", 5, None, [[1], 1, 0]])
+def test_what_is_not_a_term_is_named_as_given(t):
+    with pytest.raises(LookupError, match=rf"^term {re.escape(repr(t))} not in the support$"):
+        T.support_key(t, {(1, 1, 0): 0, (0, 2, 1): 1})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: RelDivision.general(2, {(1.5, 0): {1, 2}}),
+    lambda: RelDivision.general(2, {(True, 0): {1, 2}}),
+    lambda: graph_from_edge_list(3, [(1, 1)], []),
+    lambda: is_borel_fixed_slice([(1, 1)], 3),
+    lambda: is_borel_fixed_slice([(1, 1, 0, 0)], 3),
+    lambda: janet_general([(1, 1)], 3),
+    lambda: T.parse_term("[1, 2]", 3),
+    lambda: T.parse_term("[true, 1, 0]", 3),
+], ids=["float", "bool", "short-node", "short-borel", "long-borel", "short-janet",
+        "short-array", "bool-array"])
+def test_every_term_input_has_one_shape_check(call):
+    with pytest.raises(ValueError, match=r"^bad exponent vector \("):
+        call()
 
 
 @pytest.mark.parametrize("t", WRONG_LENGTH, ids=["four-vars", "empty"])
