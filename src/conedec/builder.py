@@ -52,7 +52,7 @@ class BuildSession:
 
     def assign(self, t: Term, m: VarSet) -> None:
         """Apply one choice and what it settles; ConflictError changes nothing."""
-        t, m = support_key(t, self.state.forced_out), frozenset(m)
+        t, m = support_key(t, self.state.forced_out, exact=True), frozenset(m)
         self.state = _settle(self.state.assign(t, m))
         self.log.append((t, m))
 

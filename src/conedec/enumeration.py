@@ -248,20 +248,91 @@ def _carried(lists: dict, pa: PartialAssignment, nxt: PartialAssignment, t: Term
             for u, options in lists.items() if u != t}
 
 
+def _state_key(pa: PartialAssignment, codes: dict) -> tuple[int, ...]:
+    """pa's residual state, all the rest of the search reads of it, as one
+    flat tuple of small ints: the budget, then one code per open term in
+    support order.  codes interns (term, forced_out row, set of groups); the
+    groups are a set because _not_superset appends them in the order the
+    choices came."""
+    return (*pa.budget, *[codes.setdefault((t, pa.forced_out[t], frozenset(pa.groups[t])),
+                                           len(codes))
+                          for t in pa.support if t not in pa.assigned])
+
+
+def _state_dag(seed: PartialAssignment, lists: dict):
+    """The fail-first search below seed, whose open terms have these candidate
+    lists, as a DAG of residual states: each distinct state is searched once.
+    Returns the table and the root's key.  The table maps the key of every
+    state searched to None when no leaf lies below it (Hall's test fails, or
+    every choice does), else to its edges (row, set mask, child key); the
+    sink, the state with no open term, has none."""
+    row = {t: k for k, t in enumerate(seed.support)}
+    codes: dict = {}
+    dag: dict[tuple[int, ...], list | None] = {}
+
+    def visit(pa: PartialAssignment, lists: dict, key: tuple[int, ...]) -> None:
+        if not lists:
+            dag[key] = []
+            return
+        if _hall_fails(lists.values(), pa.budget):
+            dag[key] = None
+            return
+        edges = []
+        # min keeps the first term of fewest candidates: the tie-break
+        best, options = min(lists.items(), key=lambda pair: len(pair[1]))
+        for m in options:
+            try:
+                nxt = pa.assign(best, m)
+            except ConflictError:
+                continue
+            child = _state_key(nxt, codes)
+            if child not in dag:
+                visit(nxt, _carried(lists, pa, nxt, best), child)
+            if dag[child] is not None:
+                edges.append((row[best], varmask(m), child))
+        dag[key] = edges or None
+
+    root = _state_key(seed, codes)
+    visit(seed, lists, root)
+    # visit calls itself, a reference cycle that would keep codes and dag
+    # alive until the cyclic collector runs
+    del visit
+    return dag, root
+
+
+def _paths(dag: dict, root: tuple[int, ...], width: int) -> list[tuple[int, ...]]:
+    """One row-mask tuple per root-to-sink path of the DAG: the leaves."""
+    leaves, masks = [], [0] * width
+
+    def walk(key: tuple[int, ...]) -> None:
+        if not dag[key]:
+            leaves.append(tuple(masks))
+        for k, mask, child in dag[key]:
+            masks[k] = mask
+            walk(child)
+
+    if dag[root] is not None:
+        walk(root)
+    del walk  # a reference cycle too, holding dag
+    return leaves
+
+
 def enumerate_divisions(n: int, d: int, up_to_symmetry: bool = False):
     """All valid assignments on the degree-d slice, as a deterministic stream.
 
-    The search runs in two phases over the same propagation.  The first
-    branches on the open term with the fewest candidates (fail-first),
-    drops every node where the open terms cannot share out the remaining
-    size budget (Hall's condition), and collects every leaf.  The second
-    branches on the open term with the most candidates, the rule that fixes
-    the stream order, and tries only the options some collected leaf agrees
-    with, so it visits live nodes only and yields the leaves in the same
-    order as a single search by that rule.  The first division therefore
-    comes only after the first phase has finished.  Both phases hand each
-    child the candidate lists of its parent, rebuilt only for the terms
-    whose rows the choice replaced.
+    The search runs in two phases over the same propagation.  The first is a
+    DAG of residual states (_state_dag): it branches on the open term with
+    the fewest candidates (fail-first), drops every state where the open
+    terms cannot share out the remaining size budget (Hall's condition), and
+    searches each distinct state once, however many choice orders reach it.
+    Its root-to-sink paths, expanded once, are the leaves; its tables are
+    freed before the stream starts.  The second branches on the open term
+    with the most candidates, the rule that fixes the stream order, and tries
+    only the options some leaf agrees with, so it visits live nodes only and
+    yields the leaves in the same order as a single search by that rule.
+    The first division therefore comes only after the first phase has
+    finished.  Both phases hand each child the candidate lists of its parent,
+    rebuilt only for the terms whose rows the choice replaced.
 
     With up_to_symmetry, only the canonical representative of each variable-
     renaming orbit is produced (the one whose own serialization attains the
@@ -270,36 +341,30 @@ def enumerate_divisions(n: int, d: int, up_to_symmetry: bool = False):
     seed = seed_constraints(n, d)
     row = {t: k for k, t in enumerate(seed.support)}
 
-    def dfs(pa: PartialAssignment, lists: dict, pick, leaves=None):
+    def dfs(pa: PartialAssignment, lists: dict, leaves: list):
         """Complete states below pa, whose open terms have these candidate
-        lists, branching on the term pick selects; without leaves, none below
-        a node failing Hall's test; with leaves (row-mask tuples), only into
-        options some leaf agrees with."""
+        lists, branching on the first open term with the most candidates and
+        only into options some leaf (row-mask tuple) agrees with."""
         if not lists:
             yield pa
             return
-        if leaves is None and _hall_fails(lists.values(), pa.budget):
-            return
-        # min and max keep the first term of extreme candidate count: the tie-break
-        best, options = pick(lists.items(), key=lambda pair: len(pair[1]))
+        best, options = max(lists.items(), key=lambda pair: len(pair[1]))
         k = row[best]
         for m in options:
-            live = None
-            if leaves is not None:
-                mask = varmask(m)
-                live = [leaf for leaf in leaves if leaf[k] == mask]
-                if not live:
-                    continue
+            mask = varmask(m)
+            live = [leaf for leaf in leaves if leaf[k] == mask]
+            if not live:
+                continue
             try:
                 nxt = pa.assign(best, m)
             except ConflictError:
                 continue
-            yield from dfs(nxt, _carried(lists, pa, nxt, best), pick, live)
+            yield from dfs(nxt, _carried(lists, pa, nxt, best), live)
 
     lists = {t: seed.candidates(t) for t in seed.support}
-    leaves = [tuple(varmask(pa.assigned[t]) for t in seed.support)
-              for pa in dfs(seed, lists, min)]
-    for pa in dfs(seed, lists, max, leaves):
+    # the tables of phase 1 are freed here, before the stream starts
+    leaves = _paths(*_state_dag(seed, lists), len(seed.support))
+    for pa in dfs(seed, lists, leaves):
         div = RelDivision.on_slice(n, d, dict(pa.assigned))
         if up_to_symmetry and _least_form(div, below_own=True) is None:
             continue

@@ -160,8 +160,10 @@ def graph_from_edge_list(n: int, nodes, edges) -> LabeledDigraph:
         tail, head, label = tuple(e[0]), tuple(e[1]), e[2] if len(e) > 2 else None
         if tail == head:
             raise ValueError(f"self loop at {format_term(tail)}")
-        if tail not in row or head not in row:
-            raise ValueError("edge endpoint outside the node set")
+        try:
+            tail, head = support_key(tail, row), support_key(head, row)
+        except LookupError:
+            raise ValueError("edge endpoint outside the node set") from None
         if label is not None and not (type(label) is int and 1 <= label <= n):
             raise ValueError(f"bad edge label {label}")
         arcs.add((row[tail], row[head], label or 0))

@@ -84,14 +84,15 @@ def check_term(t, n: int) -> Term:
     return t
 
 
-def support_key(t, support) -> Term:
+def support_key(t, support, exact: bool = False) -> Term:
     """t, any sequence of ints, as the tuple under which support (a set or
     mapping keyed by terms) holds it; else LookupError naming t.  Items are
     matched as tuples compare, not checked one by one: this runs once per
-    cone test."""
+    cone test.  With exact they are checked to be ints too, for a caller that
+    stores t: (1.0, 0) finds (1, 0) but is no term."""
     key = t if type(t) is tuple else tuple(t) if isinstance(t, Sequence) else None
     try:
-        if key in support:
+        if key in support and not (exact and any(type(e) is not int for e in key)):
             return key
     except TypeError:  # an unhashable item
         pass

@@ -153,6 +153,13 @@ def test_graph_construction_guards():
         graph_from_edge_list(2, ((1, 0), (0, 1), [1, 0]), ())
 
 
+@pytest.mark.parametrize("tail", [(0, 2, 0), ([1], 1, 0), [1, 1]], ids=["absent", "list-item", "short"])
+def test_an_edge_endpoint_outside_the_nodes_is_named(tail):
+    # an unhashable item fails the membership test like any other stranger
+    with pytest.raises(ValueError, match="^edge endpoint outside the node set$"):
+        graph_from_edge_list(3, [(1, 1, 0), (2, 0, 0)], [(tail, (2, 0, 0), 1)])
+
+
 @pytest.mark.parametrize("label", [0, False, True, 3, 1.0, "x"])
 def test_edge_label_is_a_variable_index(label):
     # True equals 1 and 1.0 compares like it, but neither is a variable index
