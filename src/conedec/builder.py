@@ -52,9 +52,10 @@ class BuildSession:
 
     def assign(self, t: Term, m: VarSet) -> None:
         """Apply one choice and what it settles; ConflictError changes nothing."""
-        t, m = support_key(t, self.state.forced_out, exact=True), frozenset(m)
+        m = frozenset(m)
         self.state = _settle(self.state.assign(t, m))
-        self.log.append((t, m))
+        # state.assign has refused any t that is no term; log its tuple form
+        self.log.append((support_key(t, self.state.forced_out), m))
 
     @property
     def complete(self) -> bool:

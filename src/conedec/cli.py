@@ -39,7 +39,7 @@ MAX_ORACLE_WORK = 500_000
 # Largest enumerate search, in terms × 2^(n-1): a term with one required
 # variable has 2^(n-1) candidate sets, listed at the root and wherever its
 # rows change.  The largest slices enumerated to completion, (4,2), (3,4),
-# (5,1) and (3,5), are 60-84; (3,5) takes about 40 s on a 2-core host.
+# (5,1) and (3,5), are 60-84; (3,5) takes about 22 s on a 2-core host.
 MAX_SEARCH_WIDTH = 4_096
 # Largest sigma and vandermonde degree: the largest profile entry, C(d+n-2, n-1),
 # then has at most 3,693 digits at n = 64, under the 4,300 Python prints by default.

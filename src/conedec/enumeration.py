@@ -119,7 +119,7 @@ class PartialAssignment:
 
     def assign(self, t: Term, m: VarSet) -> "PartialAssignment":
         """New state with M(t) = m; raises ConflictError when impossible."""
-        t = support_key(t, self.forced_out)
+        t = support_key(t, self.forced_out, exact=True)
         m = frozenset(m)
         if t in self.assigned:
             raise ConflictError(f"{format_term(t)} is already assigned")
@@ -259,79 +259,105 @@ def _state_key(pa: PartialAssignment, codes: dict) -> tuple[int, ...]:
                           for t in pa.support if t not in pa.assigned])
 
 
-def _state_dag(seed: PartialAssignment, lists: dict):
+def _visit(pa: PartialAssignment, lists: dict, key: tuple[int, ...],
+           dag: dict, codes: dict, row: dict) -> None:
+    """Search the fail-first DAG below pa, whose open terms have these lists,
+    recording in dag every state not recorded yet: None when no leaf lies
+    below it (Hall's test fails, or every choice does), else its edges."""
+    if not lists:
+        dag[key] = ()
+        return
+    if _hall_fails(lists.values(), pa.budget):
+        dag[key] = None
+        return
+    edges = []
+    # min keeps the first term of fewest candidates: the tie-break
+    best, options = min(lists.items(), key=lambda pair: len(pair[1]))
+    for m in options:
+        try:
+            nxt = pa.assign(best, m)
+        except ConflictError:
+            continue
+        child = _state_key(nxt, codes)
+        if child not in dag:
+            _visit(nxt, _carried(lists, pa, nxt, best), child, dag, codes, row)
+        if dag[child] is not None:
+            edges += varmask(m), dag[child]
+    dag[key] = (row[best], *edges) if edges else None
+
+
+def _state_dag(seed: PartialAssignment, lists: dict) -> tuple | None:
     """The fail-first search below seed, whose open terms have these candidate
     lists, as a DAG of residual states: each distinct state is searched once.
-    Returns the table and the root's key.  The table maps the key of every
-    state searched to None when no leaf lies below it (Hall's test fails, or
-    every choice does), else to its edges (row, set mask, child key); the
-    sink, the state with no open term, has none."""
-    row = {t: k for k, t in enumerate(seed.support)}
-    codes: dict = {}
-    dag: dict[tuple[int, ...], list | None] = {}
-
-    def visit(pa: PartialAssignment, lists: dict, key: tuple[int, ...]) -> None:
-        if not lists:
-            dag[key] = []
-            return
-        if _hall_fails(lists.values(), pa.budget):
-            dag[key] = None
-            return
-        edges = []
-        # min keeps the first term of fewest candidates: the tie-break
-        best, options = min(lists.items(), key=lambda pair: len(pair[1]))
-        for m in options:
-            try:
-                nxt = pa.assign(best, m)
-            except ConflictError:
-                continue
-            child = _state_key(nxt, codes)
-            if child not in dag:
-                visit(nxt, _carried(lists, pa, nxt, best), child)
-            if dag[child] is not None:
-                edges.append((row[best], varmask(m), child))
-        dag[key] = edges or None
-
-    root = _state_key(seed, codes)
-    visit(seed, lists, root)
-    # visit calls itself, a reference cycle that would keep codes and dag
-    # alive until the cyclic collector runs
-    del visit
-    return dag, root
+    Returns the root's edges; the table of states by key is freed on return."""
+    dag: dict[tuple[int, ...], tuple | None] = {}
+    root = _state_key(seed, codes := {})
+    _visit(seed, lists, root, dag, codes, {t: k for k, t in enumerate(seed.support)})
+    return dag[root]
 
 
-def _paths(dag: dict, root: tuple[int, ...], width: int) -> list[tuple[int, ...]]:
-    """One row-mask tuple per root-to-sink path of the DAG: the leaves."""
-    leaves, masks = [], [0] * width
+def _paths(edges: tuple | None, masks: list[int]):
+    """Walk every path from a state to the sink, setting masks[row] to the
+    mask of each edge taken; yields masks once per path, filled in (the same
+    list each time, so read it before the next).  A state's edges are one
+    flat tuple (row, set mask, child's edges, set mask, child's edges, ...),
+    as every edge of a state sets the row of the term it branches on; the
+    sink's are (), and a dead state (None) has no path."""
+    if edges == ():
+        yield masks
+    elif edges:
+        for mask, child in zip(edges[1::2], edges[2::2]):
+            masks[edges[0]] = mask
+            yield from _paths(child, masks)
 
-    def walk(key: tuple[int, ...]) -> None:
-        if not dag[key]:
-            leaves.append(tuple(masks))
-        for k, mask, child in dag[key]:
-            masks[k] = mask
-            walk(child)
 
-    if dag[root] is not None:
-        walk(root)
-    del walk  # a reference cycle too, holding dag
-    return leaves
+def _replay(pa: PartialAssignment, lists: dict, key: tuple[int, ...], leaves: list,
+            table: dict, codes: dict, row: dict, masks: list[int]):
+    """The paths below pa in stream order, yielded as _paths does: branches
+    on the first open term with the most candidates, and only into options
+    some leaf (row-mask tuple) agrees with, so no assign conflicts.  A child
+    recorded in table, by key, is replayed from its edges, not searched."""
+    if not lists:
+        table[key] = ()
+        yield masks
+        return
+    best, options = max(lists.items(), key=lambda pair: len(pair[1]))
+    k, edges = row[best], []
+    for m in options:
+        mask = varmask(m)
+        live = [leaf for leaf in leaves if leaf[k] == mask]
+        if not live:
+            continue
+        nxt = pa.assign(best, m)
+        child = _state_key(nxt, codes)
+        masks[k] = mask
+        if child in table:
+            yield from _paths(table[child], masks)
+        else:
+            yield from _replay(nxt, _carried(lists, pa, nxt, best), child, live,
+                               table, codes, row, masks)
+        edges += mask, table[child]
+    # recorded once its subtree is searched, where no state has its key: each
+    # has fewer open terms
+    table[key] = (k, *edges)
 
 
 def enumerate_divisions(n: int, d: int, up_to_symmetry: bool = False):
     """All valid assignments on the degree-d slice, as a deterministic stream.
 
-    The search runs in two phases over the same propagation.  The first is a
-    DAG of residual states (_state_dag): it branches on the open term with
-    the fewest candidates (fail-first), drops every state where the open
-    terms cannot share out the remaining size budget (Hall's condition), and
-    searches each distinct state once, however many choice orders reach it.
+    The search runs in two phases over the same propagation, each a DAG of
+    residual states that searches each distinct state once, however many
+    choice orders reach it.  The first (_state_dag) branches on the open term
+    with the fewest candidates (fail-first) and drops every state where the
+    open terms cannot share out the remaining size budget (Hall's condition).
     Its root-to-sink paths, expanded once, are the leaves; its tables are
-    freed before the stream starts.  The second branches on the open term
-    with the most candidates, the rule that fixes the stream order, and tries
-    only the options some leaf agrees with, so it visits live nodes only and
-    yields the leaves in the same order as a single search by that rule.
-    The first division therefore comes only after the first phase has
-    finished.  Both phases hand each child the candidate lists of its parent,
+    freed before the stream starts.  The second (_replay) branches on the
+    open term with the most candidates, the rule that fixes the stream order,
+    and tries only the options some leaf agrees with, so it visits live
+    states only and yields the leaves in the same order as a single search by
+    that rule.  It streams, searching a state when first reached and
+    replaying its edges later, from a table that lives until the stream ends
+    or is closed.  Both phases hand each child its parent's candidate lists,
     rebuilt only for the terms whose rows the choice replaced.
 
     With up_to_symmetry, only the canonical representative of each variable-
@@ -339,33 +365,17 @@ def enumerate_divisions(n: int, d: int, up_to_symmetry: bool = False):
     orbit minimum).
     """
     seed = seed_constraints(n, d)
-    row = {t: k for k, t in enumerate(seed.support)}
-
-    def dfs(pa: PartialAssignment, lists: dict, leaves: list):
-        """Complete states below pa, whose open terms have these candidate
-        lists, branching on the first open term with the most candidates and
-        only into options some leaf (row-mask tuple) agrees with."""
-        if not lists:
-            yield pa
-            return
-        best, options = max(lists.items(), key=lambda pair: len(pair[1]))
-        k = row[best]
-        for m in options:
-            mask = varmask(m)
-            live = [leaf for leaf in leaves if leaf[k] == mask]
-            if not live:
-                continue
-            try:
-                nxt = pa.assign(best, m)
-            except ConflictError:
-                continue
-            yield from dfs(nxt, _carried(lists, pa, nxt, best), live)
-
+    width = len(seed.support)
     lists = {t: seed.candidates(t) for t in seed.support}
     # the tables of phase 1 are freed here, before the stream starts
-    leaves = _paths(*_state_dag(seed, lists), len(seed.support))
-    for pa in dfs(seed, lists, leaves):
-        div = RelDivision.on_slice(n, d, dict(pa.assigned))
+    leaves = [tuple(masks) for masks in _paths(_state_dag(seed, lists), [0] * width)]
+    # only the masks the leaves hold: all 2^n sets cannot be built at n = 64
+    sets = {mask: frozenset(i for i in range(1, n + 1) if mask >> (i - 1) & 1)
+            for mask in set().union(*leaves)}
+    root = _state_key(seed, codes := {})
+    row = {t: k for k, t in enumerate(seed.support)}
+    for masks in _replay(seed, lists, root, leaves, {}, codes, row, [0] * width):
+        div = RelDivision.on_slice(n, d, {t: sets[mask] for t, mask in zip(seed.support, masks)})
         if up_to_symmetry and _least_form(div, below_own=True) is None:
             continue
         yield div

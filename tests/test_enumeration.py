@@ -112,7 +112,9 @@ def test_no_conflict_after_the_first_division(monkeypatch):
     # it, 5,886 without Hall's test either
     assert at_first["assign"] <= 1_021
     assert counts["conflicts"] == at_first["conflicts"]
-    assert counts["assign"] > at_first["assign"]
+    # each live state of phase 2 searched once too: 3,254 with one search
+    # per path to it
+    assert counts["assign"] == 2_075
 
 
 def test_stream_is_deterministic():
@@ -245,10 +247,12 @@ def recorded_dag(n, d):
         seen.setdefault(key, []).append(dict(pa.assigned))
         return key
 
-    seed = seed_constraints(n, d)
+    seed, dag = seed_constraints(n, d), {}
+    root = recording_key(seed, codes := {})
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enumeration, "_state_key", recording_key)
-        dag, root = _state_dag(seed, {t: seed.candidates(t) for t in seed.support})
+        enumeration._visit(seed, {t: seed.candidates(t) for t in seed.support}, root,
+                           dag, codes, {t: k for k, t in enumerate(seed.support)})
     return dag, root, seen
 
 
@@ -300,7 +304,7 @@ def test_dag_marks_dead_exactly_the_states_without_leaves(n, d):
 def test_dag_paths_are_the_unpruned_leaves(n, d):
     dag, root, _ = recorded_dag(n, d)
     terms = enumerate_terms(n, d)
-    leaves = _paths(dag, root, len(terms))
+    leaves = [tuple(masks) for masks in _paths(dag[root], [0] * len(terms))]
     assert len(leaves) == len(set(leaves))
     assert set(leaves) == {tuple(varmask(leaf[t]) for t in terms)
                            for leaf in unpruned_leaves(n, d)}
@@ -309,28 +313,71 @@ def test_dag_paths_are_the_unpruned_leaves(n, d):
 @pytest.mark.parametrize("n,d", DAG_SLICES)
 def test_dag_path_count_is_the_stream_length(n, d):
     dag, root, _ = recorded_dag(n, d)
+    counts = {}  # by id: the edges of a state are shared, not hashed
 
-    @cache
-    def paths(key):
-        return sum(paths(child) for _, _, child in dag[key]) if dag[key] else 1
+    def paths(edges):
+        if id(edges) not in counts:
+            counts[id(edges)] = sum(map(paths, edges[2::2])) if edges else 1
+        return counts[id(edges)]
 
     assert dag[root] is not None
-    assert paths(root) == sum(1 for _ in enumerate_divisions(n, d))
+    assert paths(dag[root]) == sum(1 for _ in enumerate_divisions(n, d))
 
 
 def test_phase_one_leaves_nothing_for_the_cyclic_collector():
-    """The tables of phase 1 are freed when it ends, not whenever the cyclic
-    collector next runs: a recursive closure that kept them in a reference
-    cycle read +10% peak RSS on the benchmark's enumerate workload."""
+    """The tables of phase 1 are freed when it ends, and those of phase 2
+    when the stream ends or is closed, not whenever the cyclic collector
+    next runs.  A recursive closure that kept phase 1's in a reference cycle
+    read +10% peak RSS on the benchmark's enumerate workload, and recursive
+    generators that referred to themselves +14% with phase 2's."""
     gc.collect()
     gc.disable()
     try:
         stream = enumerate_divisions(3, 3)
         next(stream)
         assert gc.collect() == 0
+        assert sum(1 for _ in stream) == 351
+        assert gc.collect() == 0
+        stream = enumerate_divisions(3, 3)
+        next(stream)
+        stream.close()
+        assert gc.collect() == 0
     finally:
         gc.enable()
-    stream.close()
+
+
+def unmemoized_stream(n, d):
+    """Reference: phase 2 without its table, the stream-order replay that
+    propagates every node it enters, over the leaves of phase 1."""
+    seed = seed_constraints(n, d)
+    row = {t: k for k, t in enumerate(seed.support)}
+    lists = {t: seed.candidates(t) for t in seed.support}
+    leaves = [tuple(masks) for masks in _paths(_state_dag(seed, lists), [0] * len(seed.support))]
+
+    def dfs(pa, lists, leaves):
+        if not lists:
+            yield RelDivision.on_slice(n, d, dict(pa.assigned))
+            return
+        best, options = max(lists.items(), key=lambda pair: len(pair[1]))
+        for m in options:
+            live = [leaf for leaf in leaves if leaf[row[best]] == varmask(m)]
+            if not live:
+                continue
+            try:
+                nxt = pa.assign(best, m)
+            except ConflictError:
+                continue
+            yield from dfs(nxt, enumeration._carried(lists, pa, nxt, best), live)
+
+    return list(dfs(seed, lists, leaves))
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (3, 3), (4, 1), (4, 2)])
+def test_memoized_replay_streams_what_the_unmemoized_one_did(n, d):
+    """Phase 2 replays a state already searched from its recorded edges:
+    the same divisions in the same order as searching it again."""
+    assert [div.to_json() for div in enumerate_divisions(n, d)] == [
+        div.to_json() for div in unmemoized_stream(n, d)]
 
 
 @pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (3, 3), (2, 4), (4, 1)])
@@ -371,6 +418,9 @@ def test_degree_zero_requires_every_variable():
     assert seed_constraints(3, 0).required((0, 0, 0)) == {1, 2, 3}
     assert BuildSession(3, 0).complete
     assert [div.mult for div in enumerate_divisions(3, 0)] == [{(0, 0, 0): {1, 2, 3}}]
+    # the stream turns only the masks its leaves hold into sets, not all 2^n
+    for n in (40, 64):
+        assert [div.mult for div in enumerate_divisions(n, 0)] == [{(0,) * n: set(range(1, n + 1))}]
 
 
 def test_propagation_after_peak_choice():

@@ -254,9 +254,11 @@ def test_a_list_term_is_looked_up_as_its_tuple(lookup):
 @pytest.mark.parametrize("t", [(1.0, 1, 0), [True, 1, 0]], ids=["float", "bool"])
 def test_a_session_refuses_a_term_that_only_compares_equal(t):
     # the other lookups find x*y for these, but a session stores its term
-    # in its log and state, where no later division() could read it
-    with pytest.raises(LookupError, match=rf"^term {re.escape(repr(t))} not in the support$"):
-        LOOKUPS["BuildSession.assign"](pommaret_on_slice(3, 2), t)
+    # in its log and state, and a search state in its assigned sets, where
+    # no later division could read it
+    for name in ("BuildSession.assign", "PartialAssignment.assign"):
+        with pytest.raises(LookupError, match=rf"^term {re.escape(repr(t))} not in the support$"):
+            LOOKUPS[name](pommaret_on_slice(3, 2), t)
 
 
 @pytest.mark.parametrize("t", [[1.5, 1, 0], (-1, 2, 1), "xy", 5, None, [[1], 1, 0]])
