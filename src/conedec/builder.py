@@ -52,10 +52,10 @@ class BuildSession:
 
     def assign(self, t: Term, m: VarSet) -> None:
         """Apply one choice and what it settles; ConflictError changes nothing."""
-        m = frozenset(m)
         self.state = _settle(self.state.assign(t, m))
-        # state.assign has refused any t that is no term; log its tuple form
-        self.log.append((support_key(t, self.state.forced_out), m))
+        # state.assign has refused any t or m it cannot store; log what it stored
+        t = support_key(t, self.state.forced_out)
+        self.log.append((t, self.state.assigned[t]))
 
     @property
     def complete(self) -> bool:
@@ -64,7 +64,7 @@ class BuildSession:
     def division(self) -> RelDivision:
         if not self.complete:
             raise ConflictError("the assignment is incomplete")
-        return RelDivision.on_slice(self.n, self.d, dict(self.state.assigned))
+        return RelDivision.on_slice(self.n, self.d, self.state.assigned)
 
     # -- rendering ---------------------------------------------------------
 

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from .division import RelDivision
-from .terms import Term, VarSet, check_permutation, check_term, enumerate_terms, pure_power
+from .terms import (
+    Term, VarSet, check_count, check_permutation, check_term, enumerate_terms, pure_power)
 
 
 def _pommaret_mult(terms, order: tuple[int, ...]) -> dict[Term, VarSet]:
@@ -19,14 +20,16 @@ def pommaret_on_slice(n: int, d: int, order=None) -> RelDivision:
     """Triangular assignment on the full degree-d slice: the multiplicative
     variables of t are those at or below its smallest variable, smallness
     taken along the given variable order (ascending indices by default)."""
+    terms = enumerate_terms(n, d)  # checks n and d before they are used
     order = tuple(range(1, n + 1)) if order is None else check_permutation(order, n)
-    return RelDivision.on_slice(n, d, _pommaret_mult(enumerate_terms(n, d), order))
+    return RelDivision.on_slice(n, d, _pommaret_mult(terms, order))
 
 
 def pommaret_general(terms, n: int) -> RelDivision:
     """Triangular rule applied verbatim to an arbitrary finite term set.
     Need not be valid there; pair with the covering oracle."""
-    return RelDivision.general(n, _pommaret_mult(map(tuple, terms), tuple(range(1, n + 1))))
+    order = tuple(range(1, check_count(n) + 1))
+    return RelDivision.general(n, _pommaret_mult([check_term(tuple(t), n) for t in terms], order))
 
 
 def _janet_mult(terms, n: int) -> dict[Term, VarSet]:
@@ -43,7 +46,7 @@ def _janet_mult(terms, n: int) -> dict[Term, VarSet]:
 
 def janet_general(terms, n: int) -> RelDivision:
     """Janet's rule applied to an arbitrary finite term set."""
-    return RelDivision.general(n, _janet_mult(terms, n))
+    return RelDivision.general(n, _janet_mult(terms, check_count(n)))
 
 
 def janet_on_slice(n: int, d: int) -> RelDivision:

@@ -16,7 +16,7 @@ import json
 from . import oracle
 from .division import RelDivision
 from .graphs import walk
-from .terms import Term, check_term, degree, format_term, support_key, term_lcm
+from .terms import Term, check_count, check_term, degree, format_term, support_key, term_lcm
 
 Witness = tuple[Term, Term, Term, Term, Term]  # added, s, t, lcm, vertex
 
@@ -100,6 +100,7 @@ def escalier_from_seed(div: RelDivision, seed, margin: int = 3) -> ClosureResult
 def is_borel_fixed_slice(terms, n: int) -> bool:
     """Whether exchanging any variable for a larger one keeps every term in
     the set; terms must share one degree."""
+    check_count(n)
     ts = {check_term(tuple(t), n) for t in terms}
     if not ts:
         return True

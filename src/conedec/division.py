@@ -22,12 +22,14 @@ from .terms import (
     Term,
     VarSet,
     at_most_masks,
+    check_count,
+    check_degree,
     check_permutation,
     check_term,
+    check_varset,
     deglex_key,
     degree,
     format_term,
-    format_varset,
     parse_term,
     parse_varset,
     pure_power,
@@ -127,19 +129,16 @@ class RelDivision:
     mult: Mapping[Term, VarSet]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one variable")
+        n = check_count(self.n)
+        if self.degree is not None:
+            check_degree(self.degree)
         seen = set()
         for t in self.support:
-            if check_term(t, self.n) in seen:
+            if check_term(t, n) in seen:
                 raise ValueError(f"duplicate term {format_term(t)}")
             seen.add(t)
         if set(self.mult) != seen:
             raise ValueError("assignment keys differ from the support")
-        allvars = set(range(1, self.n + 1))
-        for t, m in self.mult.items():
-            if not set(m) <= allvars:
-                raise ValueError(f"variable indices out of range in M({format_term(t)})")
         if self.degree is not None and (
                 any(degree(t) != self.degree for t in seen)
                 or len(seen) != comb(self.degree + self.n - 1, self.n - 1)):
@@ -148,7 +147,7 @@ class RelDivision:
         support_ = tuple(sorted(self.support, key=deglex_key))
         object.__setattr__(self, "support", support_)
         object.__setattr__(
-            self, "mult", MappingProxyType({t: frozenset(self.mult[t]) for t in support_}))
+            self, "mult", MappingProxyType({t: check_varset(self.mult[t], n) for t in support_}))
 
     def __reduce__(self):
         # a mappingproxy does not pickle; rebuild from a plain dict
@@ -158,11 +157,11 @@ class RelDivision:
 
     @classmethod
     def on_slice(cls, n: int, d: int, mult: dict[Term, VarSet]) -> "RelDivision":
-        return cls(n, d, tuple(mult), dict(mult))
+        return cls(n, d, tuple(mult), mult)
 
     @classmethod
     def general(cls, n: int, mult: dict[Term, VarSet]) -> "RelDivision":
-        return cls(n, None, tuple(mult), dict(mult))
+        return cls(n, None, tuple(mult), mult)
 
     @property
     def is_full_slice(self) -> bool:
@@ -307,7 +306,7 @@ class RelDivision:
             "degree": self.degree,
             "variables": names,
             "multiplicative": {
-                format_term(t): format_varset(self.mult[t], self.n)
+                format_term(t): [names[i - 1] for i in sorted(self.mult[t])]
                 for t in self.support
             },
         }
@@ -326,11 +325,8 @@ class RelDivision:
             mult_raw = data["multiplicative"]
         except KeyError as exc:
             raise ValueError(f"division JSON misses key {exc}") from None
-        if type(n) is not int or not 1 <= n <= MAX_VARS:
-            raise ValueError(f"bad variable count {n!r} (must be 1..{MAX_VARS})")
-        d = data.get("degree")
-        if d is not None and not (type(d) is int and d >= 0):
-            raise ValueError(f"bad degree {d!r}")
+        if check_count(n) > MAX_VARS:
+            raise ValueError(f"bad variable count {n} (a file may declare at most {MAX_VARS})")
         if "variables" in data and data["variables"] != var_names(n):
             raise ValueError(f"variables must be {var_names(n)} for n={n}")
         if not isinstance(mult_raw, dict):
@@ -343,7 +339,7 @@ class RelDivision:
             if not isinstance(vals, list):
                 raise ValueError(f"multiplicative variables of {key!r} must be a list")
             mult[t] = parse_varset(vals, n)
-        return cls(n, d, tuple(mult), mult)
+        return cls(n, data.get("degree"), tuple(mult), mult)
 
     @classmethod
     def from_json(cls, text: str) -> "RelDivision":

@@ -18,6 +18,7 @@ from .division import RelDivision
 from .terms import (
     Term,
     VarSet,
+    check_varset,
     enumerate_terms,
     format_term,
     sigma_expected,
@@ -120,11 +121,11 @@ class PartialAssignment:
     def assign(self, t: Term, m: VarSet) -> "PartialAssignment":
         """New state with M(t) = m; raises ConflictError when impossible."""
         t = support_key(t, self.forced_out, exact=True)
-        m = frozenset(m)
+        m = check_varset(m, self.n)
         if t in self.assigned:
             raise ConflictError(f"{format_term(t)} is already assigned")
-        if not m or not m <= set(range(1, self.n + 1)):
-            raise ConflictError(f"inadmissible multiplicative set {sorted(m)}")
+        if not m:
+            raise ConflictError("inadmissible multiplicative set []")
         need = self.required(t)
         if not need <= m:
             raise ConflictError(f"{format_term(t)} must keep {sorted(need - m)}")
@@ -286,13 +287,13 @@ def _visit(pa: PartialAssignment, lists: dict, key: tuple[int, ...],
     dag[key] = (row[best], *edges) if edges else None
 
 
-def _state_dag(seed: PartialAssignment, lists: dict) -> tuple | None:
+def _state_dag(seed: PartialAssignment, lists: dict, row: dict) -> tuple | None:
     """The fail-first search below seed, whose open terms have these candidate
     lists, as a DAG of residual states: each distinct state is searched once.
     Returns the root's edges; the table of states by key is freed on return."""
     dag: dict[tuple[int, ...], tuple | None] = {}
     root = _state_key(seed, codes := {})
-    _visit(seed, lists, root, dag, codes, {t: k for k, t in enumerate(seed.support)})
+    _visit(seed, lists, root, dag, codes, row)
     return dag[root]
 
 
@@ -367,13 +368,13 @@ def enumerate_divisions(n: int, d: int, up_to_symmetry: bool = False):
     seed = seed_constraints(n, d)
     width = len(seed.support)
     lists = {t: seed.candidates(t) for t in seed.support}
+    row = {t: k for k, t in enumerate(seed.support)}
     # the tables of phase 1 are freed here, before the stream starts
-    leaves = [tuple(masks) for masks in _paths(_state_dag(seed, lists), [0] * width)]
+    leaves = [tuple(masks) for masks in _paths(_state_dag(seed, lists, row), [0] * width)]
     # only the masks the leaves hold: all 2^n sets cannot be built at n = 64
     sets = {mask: frozenset(i for i in range(1, n + 1) if mask >> (i - 1) & 1)
             for mask in set().union(*leaves)}
     root = _state_key(seed, codes := {})
-    row = {t: k for k, t in enumerate(seed.support)}
     for masks in _replay(seed, lists, root, leaves, {}, codes, row, [0] * width):
         div = RelDivision.on_slice(n, d, {t: sets[mask] for t, mask in zip(seed.support, masks)})
         if up_to_symmetry and _least_form(div, below_own=True) is None:

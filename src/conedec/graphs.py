@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import io
 
 from .division import RelDivision
-from .terms import Term, check_term, deglex_key, format_term, support_key, var_names
+from .terms import (
+    Term, check_count, check_term, check_varset, deglex_key, format_term, support_key, var_names)
 
 @dataclass(frozen=True)
 class LabeledDigraph:
@@ -151,6 +152,7 @@ def generalized_graph(div: RelDivision) -> LabeledDigraph:
 def graph_from_edge_list(n: int, nodes, edges) -> LabeledDigraph:
     """Build a graph from terms: the nodes in any order, the edges as
     (tail, head[, label]) triples, label None or a variable index 1..n."""
+    check_count(n)
     nodes = tuple(sorted((check_term(tuple(t), n) for t in nodes), key=deglex_key))
     row = {t: i for i, t in enumerate(nodes)}
     if len(row) != len(nodes):
@@ -164,7 +166,7 @@ def graph_from_edge_list(n: int, nodes, edges) -> LabeledDigraph:
             tail, head = support_key(tail, row), support_key(head, row)
         except LookupError:
             raise ValueError("edge endpoint outside the node set") from None
-        if label is not None and not (type(label) is int and 1 <= label <= n):
-            raise ValueError(f"bad edge label {label}")
+        if label is not None:
+            check_varset((label,), n)
         arcs.add((row[tail], row[head], label or 0))
     return LabeledDigraph(n, nodes, tuple(sorted(arcs)))

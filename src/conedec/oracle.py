@@ -10,15 +10,15 @@ from __future__ import annotations
 from functools import cache
 
 from .division import RelDivision, ValidationReport
-from .terms import Term, degree, deglex_key, enumerate_terms, support_key, term_divides
+from .terms import (
+    Term, check_degree, degree, deglex_key, enumerate_terms, support_key, term_divides)
 
 
 def walk_degrees(div: RelDivision, margin: int) -> range:
     """The degrees of every oracle walk: above the lowest support degree (there a
     term is in a cone only as its vertex) up to the highest + margin; none on an
-    empty support.  A negative margin is a ValueError."""
-    if margin < 0:
-        raise ValueError("margin must be non-negative")
+    empty support.  The margin is checked as a degree is: an int >= 0."""
+    check_degree(margin)
     terms = div.support  # in deg-lex order
     return range(degree(terms[0]) + 1, degree(terms[-1]) + margin + 1) if terms else range(0)
 

@@ -68,12 +68,42 @@ def varmask(m) -> int:
     return sum(1 << (i - 1) for i in m)
 
 
+def check_count(n) -> int:
+    """n itself when it is a variable count, an int (not a bool) >= 1; else ValueError."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"bad variable count {n!r} (must be an int >= 1)")
+    return n
+
+
+def check_degree(d) -> int:
+    """d itself when it is a degree, an int (not a bool) >= 0; else ValueError."""
+    if type(d) is not int or d < 0:
+        raise ValueError(f"bad degree {d!r} (must be an int >= 0)")
+    return d
+
+
+def check_varset(m, n: int) -> VarSet:
+    """frozenset(m) when every item of m is a variable index, an int (not a
+    bool) in 1..n; else ValueError, also when m is no iterable of hashables."""
+    try:
+        s = frozenset(m)
+    except TypeError:  # m is not iterable, or an item is unhashable
+        s = (None,)  # fails the test below
+    for i in s:
+        if type(i) is not int or not 0 < i <= n:
+            raise ValueError(f"bad variable set {m!r} for n={n}")
+    return s
+
+
 def check_permutation(pi, n: int) -> tuple[int, ...]:
     """pi as a tuple, checked to list the variables 1..n in some order."""
     pi = tuple(pi)
-    if sorted(pi) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}: {pi}")
-    return pi
+    try:
+        if len(pi) == n == len(check_varset(pi, n)):
+            return pi
+    except ValueError:  # an item that is no variable index
+        pass
+    raise ValueError(f"not a permutation of 1..{n}: {pi}")
 
 
 def check_term(t, n: int) -> Term:
@@ -135,10 +165,8 @@ def max_var(t: Term) -> int:
 def enumerate_terms(n: int, d: int) -> list[Term]:
     """All degree-d terms in n variables, in deg-lex order: the last exponent
     ascending, and for each last exponent the slice in one variable fewer."""
-    if n < 1:
-        raise ValueError("need at least one variable")
-    if d < 0:
-        raise ValueError("degree must be non-negative")
+    check_count(n)
+    check_degree(d)
     if n == 1 or d == 0:  # a single term: (d,) or the constant term
         return [(0,) * (n - 1) + (d,)]
     return [t + (e,) for e in range(d + 1) for t in enumerate_terms(n - 1, d - e)]
@@ -156,10 +184,8 @@ def _comb0(m: int, r: int) -> int:
 def sigma_expected(n: int, d: int) -> tuple[int, ...]:
     """Component k counts the degree-d terms that carry k multiplicative variables
     in any valid assignment on the full slice: C(d+n-1-k, n-k) for k = 1..n."""
-    if n < 1:
-        raise ValueError("need at least one variable")
-    if d < 0:
-        raise ValueError("degree must be non-negative")
+    check_count(n)
+    check_degree(d)
     return tuple(_comb0(d + n - 1 - k, n - k) for k in range(1, n + 1))
 
 
@@ -167,7 +193,7 @@ def vandermonde_identity_check(n: int, d: int, d_max: int) -> bool:
     """Exact check that the expected profile splits every higher slice:
     C(d+e+n-1, n-1) = sum_k C(d+n-1-k, n-k) * C(e+k-1, k-1) for 0 <= e <= d_max."""
     profile = sigma_expected(n, d)
-    for e in range(d_max + 1):
+    for e in range(check_degree(d_max) + 1):
         total = sum(a * _comb0(e + k - 1, k - 1) for k, a in enumerate(profile, start=1))
         if total != _comb0(d + e + n - 1, n - 1):
             return False
@@ -175,9 +201,7 @@ def vandermonde_identity_check(n: int, d: int, d_max: int) -> bool:
 
 
 def var_names(n: int) -> list[str]:
-    if n < 1:
-        raise ValueError("need at least one variable")
-    if n <= 4:
+    if check_count(n) <= 4:
         return list(_LETTERS[:n])
     return [f"x{i}" for i in range(1, n + 1)]
 
@@ -232,19 +256,5 @@ def parse_term(text: str, n: int) -> Term:
 
 def parse_varset(items, n: int) -> VarSet:
     """Variable names (or 1-based indices) to a VarSet."""
-    out = set()
-    for item in items:
-        if isinstance(item, bool):
-            raise ValueError(f"{item!r} is not a variable")
-        if isinstance(item, int):
-            if not 1 <= item <= n:
-                raise ValueError(f"variable index {item} out of range for n={n}")
-            out.add(item)
-        else:
-            out.add(var_index(str(item), n))
-    return frozenset(out)
+    return check_varset([var_index(i, n) if isinstance(i, str) else i for i in items], n)
 
-
-def format_varset(m: VarSet, n: int) -> list[str]:
-    names = var_names(n)
-    return [names[i - 1] for i in sorted(m)]

@@ -200,6 +200,33 @@ def test_json_roundtrip_fuzzed(div):
     assert again.to_json() == text
 
 
+@st.composite
+def constructor_inputs(draw):
+    """Arguments of RelDivision where the count, the degree and the variable
+    indices may be bools, floats or out of range: a full slice for the int
+    part of the degree, or a set of terms of the count's int part."""
+    def number(lo, hi):
+        return st.integers(lo, hi) | st.booleans() | st.sampled_from([1.0, 2.0])
+
+    n, d = draw(number(-1, 4)), draw(st.none() | number(-1, 3))
+    k = max(int(n), 1)
+    terms = (enumerate_terms(k, max(int(d), 0)) if d is not None else
+             draw(st.lists(st.tuples(*[st.integers(0, 3)] * k), unique=True, max_size=6)))
+    index = st.integers(1, k) | number(0, k + 1)  # mostly valid
+    mult = {t: draw(st.frozensets(index, max_size=k)) for t in terms}
+    return n, d, tuple(mult), mult
+
+
+@settings(max_examples=300, deadline=None)
+@given(constructor_inputs())
+def test_every_accepted_division_reads_back_from_its_json(args):
+    try:
+        div = RelDivision(*args)
+    except ValueError:
+        return
+    assert RelDivision.from_json(div.to_json()) == div
+
+
 def test_json_accepts_exponent_array_keys(pommaret32):
     data = pommaret32.to_json_dict()
     data["multiplicative"] = {

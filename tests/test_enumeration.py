@@ -352,7 +352,8 @@ def unmemoized_stream(n, d):
     seed = seed_constraints(n, d)
     row = {t: k for k, t in enumerate(seed.support)}
     lists = {t: seed.candidates(t) for t in seed.support}
-    leaves = [tuple(masks) for masks in _paths(_state_dag(seed, lists), [0] * len(seed.support))]
+    dag = _state_dag(seed, lists, row)
+    leaves = [tuple(masks) for masks in _paths(dag, [0] * len(seed.support))]
 
     def dfs(pa, lists, leaves):
         if not lists:

@@ -83,11 +83,14 @@ def test_covering_margin_zero(uncovering31):
     ideal_from_seed, escalier_from_seed,
 ], ids=lambda f: f.__name__)
 def test_oracle_rejects_negative_margin(check):
-    # a negative margin must not certify a seed that margin 1 refutes
+    # a negative margin must not certify a seed that margin 1 refutes; the
+    # margin is checked as a degree is, so True and 1.0 are refused too
     div = pommaret_on_slice(3, 2)
     assert verify_ideal_equality(div, [(1, 1, 0)], 1) == (False, (1, 2, 0))
-    with pytest.raises(ValueError, match="^margin must be non-negative$"):
-        check(div, -1) if check is verify_division_covering else check(div, [(1, 1, 0)], -1)
+    for margin in (-1, True, 1.0):
+        with pytest.raises(ValueError, match=rf"^bad degree {margin} \(must be an int >= 0\)$"):
+            (check(div, margin) if check is verify_division_covering
+             else check(div, [(1, 1, 0)], margin))
 
 
 @pytest.fixture

@@ -13,9 +13,12 @@ from conedec import (
     RelDivision,
     brute_compliant,
     compliant_closure,
+    enumerate_divisions,
     graph_from_edge_list,
     is_borel_fixed_slice,
     janet_general,
+    janet_on_slice,
+    pommaret_general,
     pommaret_on_slice,
     reachable_backward,
     reachable_forward,
@@ -26,6 +29,7 @@ from conedec import (
     verify_order_ideal,
 )
 from conedec import terms as T
+from conedec.oracle import walk_degrees
 
 
 def test_deglex_order_32():
@@ -274,10 +278,11 @@ def test_what_is_not_a_term_is_named_as_given(t):
     lambda: is_borel_fixed_slice([(1, 1)], 3),
     lambda: is_borel_fixed_slice([(1, 1, 0, 0)], 3),
     lambda: janet_general([(1, 1)], 3),
+    lambda: pommaret_general([(0, 0, 1)], 2),
     lambda: T.parse_term("[1, 2]", 3),
     lambda: T.parse_term("[true, 1, 0]", 3),
 ], ids=["float", "bool", "short-node", "short-borel", "long-borel", "short-janet",
-        "short-array", "bool-array"])
+        "long-pommaret", "short-array", "bool-array"])
 def test_every_term_input_has_one_shape_check(call):
     with pytest.raises(ValueError, match=r"^bad exponent vector \("):
         call()
@@ -287,3 +292,107 @@ def test_every_term_input_has_one_shape_check(call):
 def test_a_wrong_length_self_loop_is_named(t):
     with pytest.raises(ValueError, match=rf"^self loop at {re.escape(T.format_term(t))}$"):
         graph_from_edge_list(3, [(1, 1, 0)], [(t, t)])
+
+
+# Every public entry point that takes a variable count, a degree, a variable
+# set or a variable order, each called with one value of that kind where a
+# valid one goes.  Each kind has one check in terms.py, and a bad value of it
+# raises that check's ValueError wherever it enters.
+SLICE21 = {(1, 0): {1}, (0, 1): {1, 2}}  # a full (2,1) slice, valid
+
+COUNT_TAKERS = {
+    "RelDivision": lambda n: RelDivision(n, None, ((1,),), {(1,): {1}}),
+    "RelDivision.on_slice": lambda n: RelDivision.on_slice(n, 1, {(1,): {1}}),
+    "RelDivision.general": lambda n: RelDivision.general(n, {(1,): {1}}),
+    "from_json_dict": lambda n: RelDivision.from_json_dict({"n": n, "multiplicative": {}}),
+    "enumerate_terms": lambda n: T.enumerate_terms(n, 1),
+    "sigma_expected": lambda n: T.sigma_expected(n, 1),
+    "var_names": T.var_names,
+    "seed_constraints": lambda n: seed_constraints(n, 1),
+    "BuildSession": lambda n: BuildSession(n, 1),
+    "enumerate_divisions": lambda n: next(enumerate_divisions(n, 1)),
+    "pommaret_on_slice": lambda n: pommaret_on_slice(n, 1),
+    "janet_on_slice": lambda n: janet_on_slice(n, 1),
+    "pommaret_general": lambda n: pommaret_general([(1,)], n),
+    "janet_general": lambda n: janet_general([(1,)], n),
+    "graph_from_edge_list": lambda n: graph_from_edge_list(n, [(1,)], []),
+    "is_borel_fixed_slice": lambda n: is_borel_fixed_slice([(1,)], n),
+    "vandermonde_identity_check": lambda n: T.vandermonde_identity_check(n, 1, 2),
+}
+DEGREE_TAKERS = {
+    "RelDivision": lambda d: RelDivision(2, d, tuple(SLICE21), SLICE21),
+    "RelDivision.on_slice": lambda d: RelDivision.on_slice(2, d, SLICE21),
+    "from_json_dict": lambda d: RelDivision.from_json_dict(
+        {"n": 2, "degree": d, "multiplicative": {"x": ["x"], "y": ["x", "y"]}}),
+    "enumerate_terms": lambda d: T.enumerate_terms(2, d),
+    "sigma_expected": lambda d: T.sigma_expected(2, d),
+    "seed_constraints": lambda d: seed_constraints(2, d),
+    "BuildSession": lambda d: BuildSession(2, d),
+    "enumerate_divisions": lambda d: next(enumerate_divisions(2, d)),
+    "pommaret_on_slice": lambda d: pommaret_on_slice(2, d),
+    "janet_on_slice": lambda d: janet_on_slice(2, d),
+    "vandermonde_identity_check": lambda d: T.vandermonde_identity_check(2, d, 2),
+    "vandermonde_identity_check-d_max": lambda d: T.vandermonde_identity_check(3, 2, d),
+    "walk_degrees-margin": lambda d: walk_degrees(pommaret_on_slice(2, 1), d),
+}
+VARSET_TAKERS = {  # in 2 variables
+    "RelDivision": lambda m: RelDivision(2, 1, tuple(SLICE21), {**SLICE21, (1, 0): m}),
+    "RelDivision.on_slice": lambda m: RelDivision.on_slice(2, 1, {**SLICE21, (1, 0): m}),
+    "RelDivision.general": lambda m: RelDivision.general(2, {(1, 0): m}),
+    "PartialAssignment.assign": lambda m: seed_constraints(2, 1).assign((1, 0), m),
+    "BuildSession.assign": lambda m: BuildSession(2, 1).assign((1, 0), m),
+}
+ORDER_TAKERS = {  # in 2 variables
+    "pommaret_on_slice": lambda pi: pommaret_on_slice(2, 1, pi),
+    "permuted": lambda pi: pommaret_on_slice(2, 1).permuted(pi),
+}
+KINDS = {  # kind: (takers, a valid value, bad values by name, the check's message)
+    "count": (COUNT_TAKERS, 1, {"bool": True, "float": 1.0, "zero": 0, "negative": -1},
+              r"^bad variable count "),
+    "degree": (DEGREE_TAKERS, 1, {"bool": True, "float": 1.0, "negative": -1},
+               r"^bad degree "),
+    "varset": (VARSET_TAKERS, {1}, {"bool": {True}, "float": {1.0}, "zero": {0},
+                                    "above-n": {3}, "name": {"x"}, "not-a-set": 1,
+                                    "unhashable": [[1]]},
+               r"^bad variable set .* for n=2$"),
+    "order": (ORDER_TAKERS, (2, 1), {"bool": (True, 2), "float": (1.0, 2), "zero": (0, 1),
+                                      "above-n": (1, 3), "repeat": (1, 1), "short": (1,)},
+              r"^not a permutation of 1\.\.2: "),
+}
+
+
+@pytest.mark.parametrize("call, value, message", [
+    pytest.param(call, value, message, id=f"{kind}-{name}-{what}")
+    for kind, (takers, _, bad, message) in KINDS.items()
+    for name, call in takers.items() for what, value in bad.items()])
+def test_every_number_input_has_one_check(call, value, message):
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
+@pytest.mark.parametrize("call, value", [
+    pytest.param(call, good, id=f"{kind}-{name}")
+    for kind, (takers, good, _, _) in KINDS.items() for name, call in takers.items()])
+def test_the_number_table_is_valid_but_for_its_value(call, value):
+    call(value)  # each refusal above is the bad value's doing
+
+
+def test_the_variable_set_of_a_json_file_has_the_same_check():
+    for item in (True, 1.0, 0, 3, None, [1]):
+        with pytest.raises(ValueError, match=r"^bad variable set \[.*\] for n=2$"):
+            RelDivision.from_json_dict({"n": 2, "multiplicative": {"x": [item], "y": []}})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: RelDivision.on_slice(2, True, SLICE21).to_json(), "bad degree True"),
+    (lambda: BuildSession(True, 1).division().to_json(), "bad variable count True"),
+    (lambda: RelDivision.on_slice(2, -1, {}), "bad degree -1"),
+    (lambda: RelDivision.general(2, {(1, 0): {1.0}}).to_json(), "bad variable set {1.0}"),
+    (lambda: seed_constraints(2, 1).assign((1, 0), {1.0}), "bad variable set {1.0}"),
+    (lambda: pommaret_on_slice(2, 1, (True, 2)), "not a permutation of 1..2: (True, 2)"),
+    (lambda: T.vandermonde_identity_check(3, 2, -1), "bad degree -1"),
+], ids=["degree-true", "count-true", "degree-negative", "float-division", "float-assign",
+        "bool-order", "vandermonde-negative"])
+def test_a_value_that_could_not_be_written_back_is_refused_when_it_enters(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        call()
