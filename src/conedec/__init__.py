@@ -61,8 +61,6 @@ from .terms import (
     degree,
     enumerate_terms,
     format_term,
-    max_var,
-    min_var,
     parse_term,
     sigma_expected,
     support,
@@ -70,7 +68,6 @@ from .terms import (
     term_divides,
     term_gcd,
     term_lcm,
-    term_mul,
     vandermonde_identity_check,
     var_names,
 )

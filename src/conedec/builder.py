@@ -13,7 +13,16 @@ from dataclasses import dataclass, field
 
 from .division import RelDivision
 from .enumeration import ConflictError, PartialAssignment, seed_constraints
-from .terms import Term, VarSet, format_term, parse_term, parse_varset, support_key, var_names
+from .terms import (
+    Term,
+    VarSet,
+    check_varset,
+    format_term,
+    parse_term,
+    parse_varset,
+    support_key,
+    var_names,
+)
 
 
 class ScriptError(Exception):
@@ -70,6 +79,7 @@ class BuildSession:
 
     def cell_state(self, t: Term, v: int) -> str:
         t = support_key(t, self.state.forced_out)
+        check_varset((v,), self.n)
         if v in self.state.required(t):
             return CELL_IN
         if t in self.state.assigned or v in self.state.forced_out[t]:

@@ -260,122 +260,103 @@ def _state_key(pa: PartialAssignment, codes: dict) -> tuple[int, ...]:
                           for t in pa.support if t not in pa.assigned])
 
 
-def _visit(pa: PartialAssignment, lists: dict, key: tuple[int, ...],
-           dag: dict, codes: dict, row: dict) -> None:
-    """Search the fail-first DAG below pa, whose open terms have these lists,
-    recording in dag every state not recorded yet: None when no leaf lies
-    below it (Hall's test fails, or every choice does), else its edges."""
-    if not lists:
-        dag[key] = ()
-        return
-    if _hall_fails(lists.values(), pa.budget):
-        dag[key] = None
-        return
-    edges = []
-    # min keeps the first term of fewest candidates: the tie-break
-    best, options = min(lists.items(), key=lambda pair: len(pair[1]))
-    for m in options:
-        try:
-            nxt = pa.assign(best, m)
-        except ConflictError:
-            continue
-        child = _state_key(nxt, codes)
-        if child not in dag:
-            _visit(nxt, _carried(lists, pa, nxt, best), child, dag, codes, row)
-        if dag[child] is not None:
-            edges += varmask(m), dag[child]
-    dag[key] = (row[best], *edges) if edges else None
-
-
-def _state_dag(seed: PartialAssignment, lists: dict, row: dict) -> tuple | None:
-    """The fail-first search below seed, whose open terms have these candidate
-    lists, as a DAG of residual states: each distinct state is searched once.
-    Returns the root's edges; the table of states by key is freed on return."""
-    dag: dict[tuple[int, ...], tuple | None] = {}
-    root = _state_key(seed, codes := {})
-    _visit(seed, lists, root, dag, codes, row)
-    return dag[root]
-
-
 def _paths(edges: tuple | None, masks: list[int]):
-    """Walk every path from a state to the sink, setting masks[row] to the
-    mask of each edge taken; yields masks once per path, filled in (the same
-    list each time, so read it before the next).  A state's edges are one
-    flat tuple (row, set mask, child's edges, set mask, child's edges, ...),
-    as every edge of a state sets the row of the term it branches on; the
-    sink's are (), and a dead state (None) has no path."""
+    """Every path from a state to the sink, setting masks[row] to each edge's
+    mask; yields masks once per path, filled in (the same list each time, so
+    read it before the next).  A state's edges are one flat tuple (row, mask,
+    child's edges, mask, child's edges, ...), row being that of the term it
+    branches on; the sink's are (), and a dead state's None."""
     if edges == ():
         yield masks
-    elif edges:
-        for mask, child in zip(edges[1::2], edges[2::2]):
-            masks[edges[0]] = mask
-            yield from _paths(child, masks)
-
-
-def _replay(pa: PartialAssignment, lists: dict, key: tuple[int, ...], leaves: list,
-            table: dict, codes: dict, row: dict, masks: list[int]):
-    """The paths below pa in stream order, yielded as _paths does: branches
-    on the first open term with the most candidates, and only into options
-    some leaf (row-mask tuple) agrees with, so no assign conflicts.  A child
-    recorded in table, by key, is replayed from its edges, not searched."""
-    if not lists:
-        table[key] = ()
-        yield masks
-        return
-    best, options = max(lists.items(), key=lambda pair: len(pair[1]))
-    k, edges = row[best], []
-    for m in options:
-        mask = varmask(m)
-        live = [leaf for leaf in leaves if leaf[k] == mask]
-        if not live:
-            continue
-        nxt = pa.assign(best, m)
-        child = _state_key(nxt, codes)
-        masks[k] = mask
-        if child in table:
-            yield from _paths(table[child], masks)
+    stack = [(edges[0], zip(edges[1::2], edges[2::2]))] if edges else []
+    while stack:
+        k, pairs = stack[-1]
+        for mask, child in pairs:
+            masks[k] = mask
+            if child == ():
+                yield masks
+            else:  # edges lead to live states only
+                stack.append((child[0], zip(child[1::2], child[2::2])))
+                break
         else:
-            yield from _replay(nxt, _carried(lists, pa, nxt, best), child, live,
-                               table, codes, row, masks)
-        edges += mask, table[child]
-    # recorded once its subtree is searched, where no state has its key: each
-    # has fewer open terms
-    table[key] = (k, *edges)
+            stack.pop()
+
+
+def _search(pa: PartialAssignment, lists: dict, row: dict, table: dict, pick,
+            leaves: list | None = None):
+    """The paths below pa, whose open terms have these candidate lists,
+    yielded as _paths does.  Each distinct residual state is searched once
+    and recorded in table by its key, as _paths reads it; one reached again
+    is replayed from there.  pick (min or max by candidate count, the first
+    on ties) chooses the term to branch on.  Without leaves, choices that
+    conflict and states that fail Hall's test are dead ends; with leaves
+    (row-mask tuples), only options some leaf agrees with are tried."""
+    masks, codes, stack = [0] * len(row), {}, []
+    key = _state_key(pa, codes)
+    while True:  # enter pa, a state not in the table
+        if not lists:
+            table[key] = ()
+            yield masks
+        elif leaves is None and _hall_fails(lists.values(), pa.budget):
+            table[key] = None
+        else:
+            best, options = pick(lists.items(), key=lambda pair: len(pair[1]))
+            stack.append((pa, lists, key, leaves, row[best], best, iter(options), []))
+        while stack:  # then find the next state to enter, deepest frame first
+            pa, lists, key, leaves, k, best, options, taken = stack[-1]
+            for m in options:
+                mask = varmask(m)
+                live = None if leaves is None else [leaf for leaf in leaves if leaf[k] == mask]
+                if live == []:  # no leaf takes m
+                    continue
+                try:
+                    nxt = pa.assign(best, m)
+                except ConflictError:
+                    if leaves is None:
+                        continue
+                    raise
+                child = _state_key(nxt, codes)
+                masks[k] = mask
+                taken.append((mask, child))
+                if child not in table:
+                    break
+                yield from _paths(table[child], masks)
+            else:  # no state below has this key: each has fewer open terms
+                stack.pop()
+                edges = [x for mask, child in taken if table[child] is not None
+                         for x in (mask, table[child])]
+                table[key] = (k, *edges) if edges else None
+                continue
+            pa, lists, key, leaves = nxt, _carried(lists, pa, nxt, best), child, live
+            break
+        else:
+            return
 
 
 def enumerate_divisions(n: int, d: int, up_to_symmetry: bool = False):
     """All valid assignments on the degree-d slice, as a deterministic stream.
 
-    The search runs in two phases over the same propagation, each a DAG of
-    residual states that searches each distinct state once, however many
-    choice orders reach it.  The first (_state_dag) branches on the open term
-    with the fewest candidates (fail-first) and drops every state where the
-    open terms cannot share out the remaining size budget (Hall's condition).
-    Its root-to-sink paths, expanded once, are the leaves; its tables are
-    freed before the stream starts.  The second (_replay) branches on the
-    open term with the most candidates, the rule that fixes the stream order,
-    and tries only the options some leaf agrees with, so it visits live
-    states only and yields the leaves in the same order as a single search by
-    that rule.  It streams, searching a state when first reached and
-    replaying its edges later, from a table that lives until the stream ends
-    or is closed.  Both phases hand each child its parent's candidate lists,
-    rebuilt only for the terms whose rows the choice replaced.
+    One walker, _search, runs twice over the same propagation.  Each run
+    searches a DAG of residual states, each distinct state once, on an
+    explicit stack, so no slice meets Python's recursion limit.  The first
+    run branches on the open term with the fewest candidates and prunes by
+    Hall's condition; its paths are the leaves, and its table is freed before
+    the stream starts.  The second branches on the term with the most, the
+    rule that fixes the stream order, into options some leaf agrees with
+    only; it streams, and its table lives until the stream ends or is closed.
 
     With up_to_symmetry, only the canonical representative of each variable-
     renaming orbit is produced (the one whose own serialization attains the
     orbit minimum).
     """
     seed = seed_constraints(n, d)
-    width = len(seed.support)
     lists = {t: seed.candidates(t) for t in seed.support}
     row = {t: k for k, t in enumerate(seed.support)}
-    # the tables of phase 1 are freed here, before the stream starts
-    leaves = [tuple(masks) for masks in _paths(_state_dag(seed, lists, row), [0] * width)]
+    leaves = [tuple(masks) for masks in _search(seed, lists, row, {}, min)]
     # only the masks the leaves hold: all 2^n sets cannot be built at n = 64
     sets = {mask: frozenset(i for i in range(1, n + 1) if mask >> (i - 1) & 1)
             for mask in set().union(*leaves)}
-    root = _state_key(seed, codes := {})
-    for masks in _replay(seed, lists, root, leaves, {}, codes, row, [0] * width):
+    for masks in _search(seed, lists, row, {}, max, leaves):
         div = RelDivision.on_slice(n, d, {t: sets[mask] for t, mask in zip(seed.support, masks)})
         if up_to_symmetry and _least_form(div, below_own=True) is None:
             continue

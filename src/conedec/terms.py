@@ -27,10 +27,6 @@ def deglex_key(t: Term) -> tuple[int, Term]:
     return (sum(t), t[::-1])
 
 
-def term_mul(t: Term, s: Term) -> Term:
-    return tuple(a + b for a, b in zip(t, s, strict=True))
-
-
 def term_divides(s: Term, t: Term) -> bool:
     """True when s | t componentwise."""
     # a list, not a generator: zip checks the lengths only once it is exhausted
@@ -146,22 +142,6 @@ def at_most_masks(terms) -> list[dict[int, int]]:
     return out
 
 
-def min_var(t: Term) -> int:
-    """Smallest variable index occurring in t; undefined for the constant term."""
-    for i, e in enumerate(t):
-        if e > 0:
-            return i + 1
-    raise ValueError("the constant term has no variables")
-
-
-def max_var(t: Term) -> int:
-    """Largest variable index occurring in t; undefined for the constant term."""
-    for i in range(len(t) - 1, -1, -1):
-        if t[i] > 0:
-            return i + 1
-    raise ValueError("the constant term has no variables")
-
-
 def enumerate_terms(n: int, d: int) -> list[Term]:
     """All degree-d terms in n variables, in deg-lex order: the last exponent
     ascending, and for each last exponent the slice in one variable fewer."""
@@ -233,6 +213,7 @@ _TOKEN = re.compile(r"(x[0-9]+|[xyzt])(?:\^([0-9]+))?")
 def parse_term(text: str, n: int) -> Term:
     """Parse named-product form ("x^2*y", "x2^3", "yzt") or a bare exponent
     array ("[2,1,0]"); '^' may be omitted for exponent 1, '*' between factors."""
+    check_count(n)
     s = text.strip()
     if not s:
         raise ValueError("empty term")

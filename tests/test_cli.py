@@ -161,6 +161,16 @@ def test_enumerate_33_stream_is_unchanged(capsys):
         "0fc1dc97b3bd05455f5a5f848a0df7c0d57f5fcb526207eb5d22858d8dd5edfb")
 
 
+@pytest.mark.parametrize("n,d,digest", [
+    ("6", "1", "3081864f68395341867d0173e34c0f5f57ec8e29a250234723a2c25a207a9c9f"),
+    ("2", "5", "ca2c6afd12fe2acf53267c1bcd5cd18ab540604f3cb2f0f066fec0d7a28e4d45"),
+], ids=["6-1", "2-5"])
+def test_enumerate_stream_is_unchanged(capsys, n, d, digest):
+    assert main(["enumerate", n, d]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_enumerate_61_orbits_is_one_orbit_of_720(capsys):
     assert main(["enumerate", "6", "1", "--orbits"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import sys
 from copy import deepcopy
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +26,7 @@ from conedec import (
     sigma_expected,
 )
 from conedec import enumeration
-from conedec.enumeration import _hall_fails, _least_form, _paths, _state_dag, _state_key
+from conedec.enumeration import _hall_fails, _least_form, _paths, _search, _state_key
 from conedec.terms import format_term, pure_power, support, term_div, term_gcd, varmask
 
 from conftest import orbit_divisions_32, serialize, term
@@ -155,6 +156,23 @@ def test_22_counts():
     assert sorted(orbit_size(d) for d in reps) == [1, 2]
 
 
+@pytest.mark.parametrize("d", range(41))
+def test_two_variables_give_degree_plus_one_divisions(d):
+    # an exact anchor, like degree 1's n!
+    assert sum(1 for _ in enumerate_divisions(2, d)) == d + 1
+
+
+def test_a_deep_slice_needs_no_recursion():
+    """The search walks explicit stacks: a path of (2,200) assigns 201 terms,
+    far more than a recursion limit of 150 would let a recursive walker nest."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        assert sum(1 for _ in enumerate_divisions(2, 200)) == 201
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_32_orbits_match_reference_tables():
     reps = list(enumerate_divisions(3, 2, up_to_symmetry=True))
     assert len(reps) == 8
@@ -248,11 +266,12 @@ def recorded_dag(n, d):
         return key
 
     seed, dag = seed_constraints(n, d), {}
-    root = recording_key(seed, codes := {})
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enumeration, "_state_key", recording_key)
-        enumeration._visit(seed, {t: seed.candidates(t) for t in seed.support}, root,
-                           dag, codes, {t: k for k, t in enumerate(seed.support)})
+        for _ in _search(seed, {t: seed.candidates(t) for t in seed.support},
+                         {t: k for k, t in enumerate(seed.support)}, dag, min):
+            pass
+    root = next(iter(seen))  # the first key taken is the seed's
     return dag, root, seen
 
 
@@ -352,8 +371,7 @@ def unmemoized_stream(n, d):
     seed = seed_constraints(n, d)
     row = {t: k for k, t in enumerate(seed.support)}
     lists = {t: seed.candidates(t) for t in seed.support}
-    dag = _state_dag(seed, lists, row)
-    leaves = [tuple(masks) for masks in _paths(dag, [0] * len(seed.support))]
+    leaves = [tuple(masks) for masks in _search(seed, lists, row, {}, min)]
 
     def dfs(pa, lists, leaves):
         if not lists:
