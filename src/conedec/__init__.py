@@ -28,7 +28,6 @@ from .division import (
     NoInvolutiveDivisorError,
     RelDivision,
     ValidationReport,
-    make_division,
 )
 from .enumeration import (
     ConflictError,
@@ -42,7 +41,6 @@ from .graphs import (
     LabeledDigraph,
     generalized_graph,
     graph_from_edge_list,
-    reachability_equivalent,
     reachable_backward,
     reachable_forward,
     redundant_graph,

@@ -82,9 +82,6 @@ class ValidationReport:
     def valid(self) -> bool:
         return not self.violations
 
-    def kinds(self) -> set[str]:
-        return {v["kind"] for v in self.violations}
-
     def merged(self, other: "ValidationReport") -> "ValidationReport":
         return ValidationReport(
             self.n, self.violations + other.violations, self.notes + other.notes)
@@ -344,9 +341,3 @@ class RelDivision:
     @classmethod
     def from_json(cls, text: str) -> "RelDivision":
         return cls.from_json_dict(json.loads(text))
-
-
-def make_division(n: int, d: int | None, rows: dict[str, str]) -> RelDivision:
-    """Readable constructor: rows map term strings to comma-separated variables."""
-    return RelDivision.from_json_dict({"n": n, "degree": d, "multiplicative": {
-        key: vals.replace(",", " ").split() for key, vals in rows.items()}})

@@ -30,9 +30,6 @@ class LabeledDigraph:
         """The arcs as (tail, head, label or None) term triples."""
         return frozenset((self.nodes[t], self.nodes[h], j or None) for t, h, j in self.arcs)
 
-    def edge_pairs(self) -> frozenset[tuple[Term, Term]]:
-        return frozenset((self.nodes[t], self.nodes[h]) for t, h, _ in self.arcs)
-
     def _named_edges(self) -> Iterator[tuple[str, str, str | None]]:
         """Arcs as (tail, head, label) names, in arc order."""
         names = var_names(self.n)
@@ -86,14 +83,6 @@ def reachable_forward(g: LabeledDigraph, seed) -> frozenset[Term]:
 def reachable_backward(g: LabeledDigraph, seed) -> frozenset[Term]:
     """Nodes from which the seed can be reached, seed included."""
     return _reachable(g, seed, forward=False)
-
-
-def reachability_equivalent(g1: LabeledDigraph, g2: LabeledDigraph) -> bool:
-    """Same node set and same forward-reachable set from every node."""
-    if set(g1.nodes) != set(g2.nodes):
-        raise ValueError("graphs live on different node sets")
-    return all(
-        reachable_forward(g1, [t]) == reachable_forward(g2, [t]) for t in g1.nodes)
 
 
 def ufnarovsky_graph(div: RelDivision) -> LabeledDigraph:

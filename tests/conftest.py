@@ -4,12 +4,21 @@ from __future__ import annotations
 
 import pytest
 
-from conedec import parse_term
-from conedec.division import RelDivision, make_division
+from conedec import RelDivision, parse_term, reachable_forward
 
 
 def term(s: str, n: int = 3):
     return parse_term(s, n)
+
+
+def make_division(n: int, d: int | None, rows: dict[str, str]) -> RelDivision:
+    """Readable constructor: rows map term strings to comma-separated variables."""
+    return RelDivision.from_json_dict({"n": n, "degree": d, "multiplicative": {
+        key: vals.replace(",", " ").split() for key, vals in rows.items()}})
+
+
+def forward_reach(g) -> dict:  # equal for two graphs iff same nodes, same reachability
+    return {t: reachable_forward(g, [t]) for t in g.nodes}
 
 
 @pytest.fixture

@@ -16,9 +16,8 @@ from conedec import (
     verify_division_covering,
 )
 from conedec.builder import CELL_FREE, CELL_GROUP, CELL_IN, CELL_OUT
-from conedec.division import make_division
 
-from conftest import term
+from conftest import make_division, term
 
 FIVE_CHOICES = """
 # the sixth term settles itself

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from conedec import RelDivision, enumerate_terms, pommaret_general, pommaret_on_slice
 from conedec.cli import (
     MAX_IDENTITY_DEGREE, MAX_ORACLE_WORK, MAX_PROFILE_DEGREE, MAX_SLICE_TERMS, main)
-from conedec.division import make_division
+
+from conftest import make_division
 
 
 @pytest.fixture
@@ -188,6 +189,18 @@ def test_enumerate_degree_one_orbit_streams_are_unchanged(capsys, n, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("n,d,digest", [
+    ("3", "3", "5da52a8d8edabf614c08fcc521a4ae4cda45d42e6922905e39af61df08c074ad"),
+    ("4", "2", "920d2adb33e8a2a6b9d8805ea19960cf9e00d9504de2026ced2a1f722a7b3a98"),
+    ("3", "4", "a6365b63c35d5fc3ad18e74e0a9b414cdc0e36d2fb5603678c49b86e1d64ed93"),
+], ids=["3-3", "4-2", "3-4"])
+def test_enumerate_sorted_stream_is_unchanged(capsys, n, d, digest):
+    # the lines whatever their order: the digest of `conedec enumerate n d | LC_ALL=C sort`
+    assert main(["enumerate", n, d]) == 0
+    lines = sorted(capsys.readouterr().out.splitlines(keepends=True))
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
+
+
 def test_graph_dot(capsys, p32_file):
     assert main(["graph", p32_file]) == 0
     dot = capsys.readouterr().out
@@ -248,13 +261,20 @@ def test_redundant_graph_memory_is_bounded(tmp_path, div, argv, code, limit_mb):
 
 @pytest.mark.parametrize("argv", [
     ["graph", "G"],
+    ["graph", "G", "--kind", "generalized"],
     ["closure", "G", "x*y"],
     ["sigma", "--division", "G"],
-], ids=["graph", "closure", "sigma"])
+], ids=["graph", "graph-generalized", "closure", "sigma"])
 def test_general_division_where_a_slice_is_needed_exits_1(capsys, general_file, argv):
     assert main([general_file if a == "G" else a for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_redundant_graph_of_a_general_division(capsys, general_file):
+    assert main(["graph", general_file, "--kind", "redundant", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"edges": [
+        ["x*y", "x^2", None], ["z^3", "x^2", None], ["z^3", "x*y", None]]}
 
 
 def test_closure_ideal(capsys, p32_file):
