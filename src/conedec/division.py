@@ -56,25 +56,12 @@ class NoInvolutiveDivisorError(DivisionError):
     pass
 
 
-def _fmt_violation(v: dict, n: int) -> dict:
-    out = {}
-    for key, val in v.items():
-        if key in ("u", "v", "witness", "term") and isinstance(val, tuple):
-            out[key] = format_term(val)
-        elif key == "terms":
-            out[key] = [format_term(t) for t in val]
-        elif key == "variable":
-            out[key] = var_names(n)[val - 1]
-        else:
-            out[key] = list(val) if isinstance(val, tuple) else val
-    return out
-
-
 @dataclass
 class ValidationReport:
-    """Outcome of a validity check; valid iff no violations were recorded."""
+    """Outcome of a validity check; valid iff no violations were recorded.
+    Each violation is held as it is written: terms by format_term, a variable
+    by its name, a profile as a list."""
 
-    n: int
     violations: list[dict] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
@@ -83,15 +70,10 @@ class ValidationReport:
         return not self.violations
 
     def merged(self, other: "ValidationReport") -> "ValidationReport":
-        return ValidationReport(
-            self.n, self.violations + other.violations, self.notes + other.notes)
+        return ValidationReport(self.violations + other.violations, self.notes + other.notes)
 
     def to_json_dict(self) -> dict:
-        return {
-            "valid": self.valid,
-            "violations": [_fmt_violation(v, self.n) for v in self.violations],
-            "notes": list(self.notes),
-        }
+        return {"valid": self.valid, "violations": self.violations, "notes": self.notes}
 
 
 class PairTable(NamedTuple):
@@ -248,7 +230,7 @@ class RelDivision:
         """Every violation of _violations(), and a note where coverage is left
         to the covering oracle."""
         notes = [] if self.is_full_slice else ["coverage unverified here"]
-        return ValidationReport(self.n, list(self._violations()), notes)
+        return ValidationReport(list(self._violations()), notes)
 
     def _violations(self) -> Iterator[dict]:
         """The exact validity check, one violation at a time.
@@ -265,21 +247,23 @@ class RelDivision:
             for j in table.heads(i):
                 if j > i and table.lands[j] >> i & 1:  # landing both ways
                     v = terms[j]
-                    yield {"kind": "overlap", "u": u, "v": v, "witness": term_lcm(u, v)}
+                    yield {"kind": "overlap", "u": format_term(u), "v": format_term(v),
+                           "witness": format_term(term_lcm(u, v))}
         if not self.is_full_slice:
             return
         observed = self.sigma_profile()
         expected = sigma_expected(self.n, self.degree)
         if observed != expected:
-            yield {"kind": "profile-mismatch", "observed": observed, "expected": expected}
-        for i in range(1, self.n + 1):
+            yield {"kind": "profile-mismatch", "observed": list(observed),
+                   "expected": list(expected)}
+        for i, name in enumerate(var_names(self.n), 1):
             if i not in self.mult[pure_power(self.n, self.degree, i)]:
-                yield {"kind": "pure-power", "variable": i}
+                yield {"kind": "pure-power", "variable": name}
         peaks = self._peaks()
         if not peaks:
             yield {"kind": "no-peak"}
         elif len(peaks) > 1:
-            yield {"kind": "multiple-peaks", "terms": peaks}
+            yield {"kind": "multiple-peaks", "terms": [format_term(u) for u in peaks]}
 
     # -- permutation -------------------------------------------------------
 

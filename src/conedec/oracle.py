@@ -11,7 +11,8 @@ from functools import cache
 
 from .division import RelDivision, ValidationReport
 from .terms import (
-    Term, check_degree, degree, deglex_key, enumerate_terms, support_key, term_divides)
+    Term, check_degree, degree, deglex_key, enumerate_terms, format_term, support_key,
+    term_divides)
 
 
 def walk_degrees(div: RelDivision, margin: int) -> range:
@@ -31,11 +32,11 @@ def verify_division_covering(div: RelDivision, margin: int = 3) -> ValidationRep
         for w in enumerate_terms(div.n, d):
             owners = [u for u in div.support if div.cone_contains(u, w)]
             if len(owners) > 1:
-                violations.append(
-                    {"kind": "double-covered", "term": w, "u": owners[0], "v": owners[1]})
+                violations.append({"kind": "double-covered", "term": format_term(w),
+                                   "u": format_term(owners[0]), "v": format_term(owners[1])})
             elif not owners and any(term_divides(u, w) for u in div.support):
-                violations.append({"kind": "uncovered", "term": w})
-    return ValidationReport(div.n, violations)
+                violations.append({"kind": "uncovered", "term": format_term(w)})
+    return ValidationReport(violations)
 
 
 def verify_ideal_equality(div: RelDivision, members, margin: int = 3):

@@ -7,17 +7,20 @@ import json
 import os
 import subprocess
 import sys
+from itertools import islice
 
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conedec import RelDivision, enumerate_terms, pommaret_general, pommaret_on_slice
+from conedec import (
+    RelDivision, enumerate_divisions, enumerate_terms, pommaret_general, pommaret_on_slice,
+    verify_division_covering)
 from conedec.cli import (
     MAX_IDENTITY_DEGREE, MAX_ORACLE_WORK, MAX_PROFILE_DEGREE, MAX_SLICE_TERMS, main)
 
-from conftest import make_division
+from conftest import make_division, mutated
 
 
 @pytest.fixture
@@ -221,6 +224,12 @@ def test_graph_rejects_invalid(capsys, bad31_file):
     assert main(["graph", bad31_file]) == 1
 
 
+def all_overlap_3_40() -> RelDivision:
+    """Every term of the (3,40) slice keeps all variables: 861 terms, 370,230
+    overlapping pairs."""
+    return RelDivision.on_slice(3, 40, {t: frozenset({1, 2, 3}) for t in enumerate_terms(3, 40)})
+
+
 def peak_rss_mb(argv) -> tuple[int, float]:
     """Exit code and peak RSS of `conedec argv`, run from a fresh wrapper
     process: this process's RUSAGE_CHILDREN keeps the largest peak of every
@@ -237,10 +246,7 @@ def peak_rss_mb(argv) -> tuple[int, float]:
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux only")
 @pytest.mark.parametrize("div, argv, code, limit_mb", [
-    # every term keeps all variables: 861 terms, 370,230 overlapping pairs
-    (lambda: RelDivision.on_slice(
-        3, 40, {t: frozenset({1, 2, 3}) for t in enumerate_terms(3, 40)}),
-     ["graph", "F", "--kind", "redundant"], 1, 60),
+    (all_overlap_3_40, ["graph", "F", "--kind", "redundant"], 1, 60),
     # the output of `conedec gen pommaret 40 2`: 820 terms, 133,250 edges
     (lambda: pommaret_on_slice(40, 2), ["graph", "F", "--kind", "redundant"], 0, 120),
     (lambda: pommaret_on_slice(40, 2), ["graph", "F", "--kind", "generalized"], 0, 120),
@@ -249,8 +255,12 @@ def peak_rss_mb(argv) -> tuple[int, float]:
     (lambda: pommaret_on_slice(62, 2),
      ["closure", "F", "x1*x5", "x40^2", "--certify", "0"], 0, 60),
     (lambda: pommaret_on_slice(62, 2), ["graph", "F", "--kind", "redundant"], 0, 180),
+    (all_overlap_3_40, ["validate", "F"], 1, 200),
+    (lambda: pommaret_on_slice(62, 2),
+     ["graph", "F", "--kind", "redundant", "--format", "json"], 0, 200),
 ], ids=["refused-all-overlap-3-40", "pommaret-40-2", "generalized-pommaret-40-2",
-        "validate-pommaret-62-2", "closure-pommaret-62-2", "redundant-pommaret-62-2"])
+        "validate-pommaret-62-2", "closure-pommaret-62-2", "redundant-pommaret-62-2",
+        "validate-all-overlap-3-40", "redundant-json-pommaret-62-2"])
 def test_redundant_graph_memory_is_bounded(tmp_path, div, argv, code, limit_mb):
     path = tmp_path / "division.json"
     path.write_text(div().to_json())
@@ -465,24 +475,29 @@ def test_module_entry_point():
     assert json.loads(out.stdout) == {"expected": [3, 2, 1], "sum": 6}
 
 
-@pytest.mark.parametrize("argv, lines", [
-    (["enumerate", "3", "3"], 1),
-    (["sigma", "3", "2"], 0),
-], ids=["mid-stream", "before-output"])
-def test_closed_stdout_exits_1_without_traceback(argv, lines):
+@pytest.mark.parametrize("argv, first_line", [
+    (["enumerate", "3", "3"], lambda line: RelDivision.from_json(line).validate().valid),
+    (["sigma", "3", "2"], None),
+    (["graph", "F", "--kind", "redundant", "--format", "json"], lambda line: line == b"{\n"),
+], ids=["mid-stream", "before-output", "mid-indented-json"])
+def test_closed_stdout_exits_1_without_traceback(tmp_path, argv, first_line):
     # stdout is block-buffered, as it is by default, so output is pending
-    # when the pipe closes; enumerate 3 3 (about 77 kB) outgrows a pipe's
-    # buffer, so a close after its first line always finds it mid-stream
+    # when the pipe closes; enumerate 3 3 (about 77 kB) and the graph JSON of
+    # Pommaret (40,2) (about 7.5 MB) outgrow a pipe's buffer, so a close after
+    # their first line always finds them mid-stream
+    path = tmp_path / "division.json"
+    path.write_text(pommaret_on_slice(40, 2).to_json())
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     read_end, write_end = os.pipe()
-    if not lines:
+    if first_line is None:
         os.close(read_end)
-    proc = subprocess.Popen([sys.executable, "-m", "conedec", *argv],
+    proc = subprocess.Popen([sys.executable, "-m", "conedec",
+                             *[str(path) if a == "F" else a for a in argv]],
                             stdout=write_end, stderr=subprocess.PIPE, env=env)
     os.close(write_end)
-    if lines:
+    if first_line is not None:
         with os.fdopen(read_end, "rb", buffering=0) as out:
-            assert RelDivision.from_json(out.readline()).validate().valid
+            assert first_line(out.readline())
     err = proc.stderr.read().decode()
     proc.stderr.close()
     assert proc.wait(timeout=120) == 1
@@ -540,6 +555,177 @@ def test_validate_names_variables_and_terms(capsys, tmp_path, rows, violation):
     path.write_text(json.dumps({"n": 2, "degree": 1, "multiplicative": rows}))
     assert main(["validate", str(path)]) == 1
     assert violation in json.loads(capsys.readouterr().out)["violations"]
+
+
+# A (2,3) division with every violation kind but no-peak, and a (2,1) one
+# without a peak, each with the whole stdout of its validate command.
+EVERY_KIND_BUT_NO_PEAK = {"n": 2, "degree": 3, "multiplicative": {
+    "x^3": ["x", "y"], "x^2*y": ["x", "y"], "x*y^2": ["y"], "y^3": ["x"]}}
+EVERY_KIND_BUT_NO_PEAK_REPORT = """\
+{
+  "valid": false,
+  "violations": [
+    {
+      "kind": "overlap",
+      "u": "x^3",
+      "v": "x^2*y",
+      "witness": "x^3*y"
+    },
+    {
+      "kind": "overlap",
+      "u": "x^3",
+      "v": "y^3",
+      "witness": "x^3*y^3"
+    },
+    {
+      "kind": "overlap",
+      "u": "x^2*y",
+      "v": "y^3",
+      "witness": "x^2*y^3"
+    },
+    {
+      "kind": "overlap",
+      "u": "x*y^2",
+      "v": "y^3",
+      "witness": "x*y^3"
+    },
+    {
+      "kind": "profile-mismatch",
+      "observed": [
+        2,
+        2
+      ],
+      "expected": [
+        3,
+        1
+      ]
+    },
+    {
+      "kind": "pure-power",
+      "variable": "y"
+    },
+    {
+      "kind": "multiple-peaks",
+      "terms": [
+        "x^3",
+        "x^2*y"
+      ]
+    },
+    {
+      "kind": "double-covered",
+      "term": "x^3*y",
+      "u": "x^3",
+      "v": "x^2*y"
+    },
+    {
+      "kind": "double-covered",
+      "term": "x*y^3",
+      "u": "x*y^2",
+      "v": "y^3"
+    },
+    {
+      "kind": "uncovered",
+      "term": "y^4"
+    },
+    {
+      "kind": "double-covered",
+      "term": "x^4*y",
+      "u": "x^3",
+      "v": "x^2*y"
+    },
+    {
+      "kind": "double-covered",
+      "term": "x^3*y^2",
+      "u": "x^3",
+      "v": "x^2*y"
+    },
+    {
+      "kind": "double-covered",
+      "term": "x^2*y^3",
+      "u": "x^2*y",
+      "v": "y^3"
+    },
+    {
+      "kind": "uncovered",
+      "term": "y^5"
+    }
+  ],
+  "notes": []
+}
+"""
+NO_PEAK = {"n": 2, "degree": 1, "multiplicative": {"x": ["x"], "y": ["y"]}}
+NO_PEAK_REPORT = """\
+{
+  "valid": false,
+  "violations": [
+    {
+      "kind": "profile-mismatch",
+      "observed": [
+        2,
+        0
+      ],
+      "expected": [
+        1,
+        1
+      ]
+    },
+    {
+      "kind": "no-peak"
+    }
+  ],
+  "notes": []
+}
+"""
+
+
+@pytest.mark.parametrize("rows, options, text", [
+    (EVERY_KIND_BUT_NO_PEAK, ["--oracle", "2"], EVERY_KIND_BUT_NO_PEAK_REPORT),
+    (NO_PEAK, [], NO_PEAK_REPORT),
+], ids=["every-kind-but-no-peak", "no-peak"])
+def test_validate_report_text_is_pinned(capsys, tmp_path, rows, options, text):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(rows))
+    assert main(["validate", str(path), *options]) == 1
+    assert capsys.readouterr().out == text
+
+
+@pytest.fixture(scope="module")
+def mutation_bases():
+    return [*enumerate_divisions(3, 2), *islice(enumerate_divisions(3, 3), 0, None, 7)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_indented_output_is_the_text_of_json_dumps(tmp_path_factory, mutation_bases, data):
+    """validate --oracle 2 on a (3,2) or (3,3) division with one or two rows
+    mutated writes exactly json.dumps(report, indent=2) and a newline."""
+    div = data.draw(st.sampled_from(mutation_bases))
+    for _ in range(data.draw(st.integers(1, 2))):
+        div = mutated(data, div)
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(div.to_json())
+    report = div.validate().merged(verify_division_covering(div, 2))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["validate", str(path), "--oracle", "2"])
+    assert code == (0 if report.valid else 1)
+    assert out.getvalue() == json.dumps(report.to_json_dict(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("div, argv, code, size, digest", [
+    (all_overlap_3_40, ["validate", "F"], 1, 46_355_889,
+     "49d0c841a4be2a9ea4a347cee9f4a15a7cc55d85e5161fa2a37d1af2845ac01c"),
+    (lambda: pommaret_on_slice(62, 2), ["graph", "F", "--kind", "redundant", "--format", "json"],
+     0, 40_897_834, "42168a71a6ac80b46e7faddeaaa379a43fb4d6c3c9c2515e0289ceebf4cd014d"),
+], ids=["validate-all-overlap-3-40", "redundant-json-pommaret-62-2"])
+def test_large_json_outputs_are_unchanged(tmp_path, div, argv, code, size, digest):
+    path = tmp_path / "division.json"
+    path.write_text(div().to_json())
+    out = subprocess.run([sys.executable, "-m", "conedec",
+                          *[str(path) if a == "F" else a for a in argv]], capture_output=True)
+    assert (out.returncode, out.stderr) == (code, b"")
+    assert len(out.stdout) == size
+    assert hashlib.sha256(out.stdout).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv", [

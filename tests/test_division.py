@@ -102,8 +102,8 @@ def test_validate_uncovering(uncovering31):
     assert not rep.valid
     assert {v["kind"] for v in rep.violations} == {"profile-mismatch", "no-peak"}
     mism = [v for v in rep.violations if v["kind"] == "profile-mismatch"][0]
-    assert mism["observed"] == (0, 3, 0)
-    assert mism["expected"] == (1, 1, 1)
+    assert mism["observed"] == [0, 3, 0]
+    assert mism["expected"] == [1, 1, 1]
 
 
 def test_validate_overlap_general():
@@ -112,7 +112,7 @@ def test_validate_overlap_general():
     assert not rep.valid
     assert [v["kind"] for v in rep.violations] == ["overlap"]
     v = rep.violations[0]
-    assert v["witness"] == (2,)
+    assert v["witness"] == "x^2"
     assert "coverage unverified here" in rep.notes
 
 
@@ -137,8 +137,8 @@ def test_is_valid_stops_at_the_first_violation(monkeypatch):
 
 
 def test_report_validity_follows_its_violations(pommaret32):
-    ok = ValidationReport(3, [], ["coverage unverified here"])
-    bad = ValidationReport(3, [{"kind": "no-peak"}])
+    ok = ValidationReport([], ["coverage unverified here"])
+    bad = ValidationReport([{"kind": "no-peak"}])
     assert ok.valid and not bad.valid
     assert ok.merged(ok).valid and not ok.merged(bad).valid and not bad.merged(ok).valid
     assert ok.merged(bad).to_json_dict() == {

@@ -22,6 +22,7 @@ from conedec import (
     deglex_key,
     enumerate_divisions,
     enumerate_terms,
+    format_term,
     janet_general,
     orbit_size,
     pommaret_on_slice,
@@ -64,7 +65,8 @@ def overlaps_by_gcd(div):
             w = term_gcd(u, v)
             if (support(term_div(v, w)) <= div.mult[u]
                     and support(term_div(u, w)) <= div.mult[v]):
-                out.append({"kind": "overlap", "u": u, "v": v, "witness": term_lcm(u, v)})
+                out.append({"kind": "overlap", "u": format_term(u), "v": format_term(v),
+                            "witness": format_term(term_lcm(u, v))})
     return out
 
 
