@@ -35,7 +35,9 @@ USAGE_ERROR = 2
 # terms: validate holds one N-bit landing mask per term, 24 MB at 1,953 terms.
 MAX_SLICE_TERMS = 2_000
 # Largest oracle walk (validate --oracle, closure --certify), in terms walked ×
-# support terms: about 2 s at the 0.06-4.2 µs a pair measured on a 2-core host.
+# support terms: at most that many cone terms built plus divisors tested (twice
+# for a certificate), the worst case of an all-variables file.  The slowest file
+# tried, x1..x6 each with every variable at --oracle 15, takes 1.9 s on 2 cores.
 MAX_ORACLE_WORK = 500_000
 # Largest enumerate search, in terms × 2^(n-1): a term with one required
 # variable has 2^(n-1) candidate sets, listed at the root and wherever its

@@ -1,13 +1,11 @@
 """Bounded brute-force checks, independent of the incremental machinery.
 
 Everything here walks terms degree by degree up to an explicit margin and
-tests membership directly, so it can certify (up to the bound) or refute
-claims produced elsewhere.
+builds each cone there from its definition, vertex times products of its
+multiplicative variables, to certify (up to the bound) or refute claims.
 """
 
 from __future__ import annotations
-
-from functools import cache
 
 from .division import RelDivision, ValidationReport
 from .terms import (
@@ -24,13 +22,37 @@ def walk_degrees(div: RelDivision, margin: int) -> range:
     return range(degree(terms[0]) + 1, degree(terms[-1]) + margin + 1) if terms else range(0)
 
 
+def _cone_terms(vertex: Term, variables, d: int) -> list[Term]:
+    """The degree-d terms of the cone of vertex over the given variables: vertex
+    times every product of degree d - deg(vertex) in them."""
+    k, variables = d - degree(vertex), sorted(variables)
+    if k < 0 or not variables:  # enumerate_terms refuses 0 variables
+        return [vertex] if k == 0 else []
+    cone = []
+    for p in enumerate_terms(len(variables), k):
+        w = list(vertex)
+        for i, e in zip(variables, p):
+            w[i - 1] += e
+        cone.append(tuple(w))
+    return cone
+
+
+def _covered(div: RelDivision, members, d: int) -> set[Term]:
+    """The degree-d terms of the union of the members' cones."""
+    return {w for m in members for w in _cone_terms(m, div.mult[m], d)}
+
+
 def verify_division_covering(div: RelDivision, margin: int = 3) -> ValidationReport:
     """Check unique cone coverage of every multiple of the support, degree by
     degree over walk_degrees; margin 0 on a slice walks nothing."""
     violations: list[dict] = []
     for d in walk_degrees(div, margin):
+        owners_of: dict[Term, list[Term]] = {}  # in support order
+        for u in div.support:
+            for w in _cone_terms(u, div.mult[u], d):
+                owners_of.setdefault(w, []).append(u)
         for w in enumerate_terms(div.n, d):
-            owners = [u for u in div.support if div.cone_contains(u, w)]
+            owners = owners_of.get(w, ())
             if len(owners) > 1:
                 violations.append({"kind": "double-covered", "term": format_term(w),
                                    "u": format_term(owners[0]), "v": format_term(owners[1])})
@@ -43,13 +65,12 @@ def verify_ideal_equality(div: RelDivision, members, margin: int = 3):
     """Do the cones of the member terms cut out, slice by slice, the same set
     as ordinary divisibility by the members?  Checked over walk_degrees, up to
     the highest support degree + margin; returns (ok, counterexample)."""
-    members = [support_key(t, div.mult) for t in members]
+    members = {support_key(t, div.mult) for t in members}
     for d in walk_degrees(div, margin):
-        for w in enumerate_terms(div.n, d):
-            plain = any(term_divides(m, w) for m in members)
-            coned = any(div.cone_contains(m, w) for m in members)
-            if plain != coned:
-                return False, w
+        plain = {w for m in members for w in _cone_terms(m, range(1, div.n + 1), d)}
+        missing = plain - _covered(div, members, d)  # the cones lie inside plain
+        if missing:
+            return False, next(w for w in enumerate_terms(div.n, d) if w in missing)
     return True, None
 
 
@@ -60,21 +81,18 @@ def verify_order_ideal(div: RelDivision, members, margin: int = 3):
 
     Only the divisors w / x_i of covered walked terms w are tested: a divisor of
     w down to the lowest support degree is reached by walked one-variable steps."""
-    members = [support_key(t, div.mult) for t in members]
-
-    @cache
-    def covered(w: Term) -> bool:
-        return any(div.cone_contains(m, w) for m in members)
-
-    for d in walk_degrees(div, margin):
-        for w in enumerate_terms(div.n, d):
-            if not covered(w):
-                continue
+    members = {support_key(t, div.mult) for t in members}
+    walk = walk_degrees(div, margin)
+    below = _covered(div, members, walk.start - 1) if walk else set()
+    for d in walk:
+        here = _covered(div, members, d)
+        for w in filter(here.__contains__, enumerate_terms(div.n, d)):
             for i, e in enumerate(w):
                 if e:
                     s = w[:i] + (e - 1,) + w[i + 1:]
-                    if not covered(s):
+                    if s not in below:
                         return False, (w, s)
+        below = here
     return True, None
 
 

@@ -4,6 +4,9 @@ import ast
 import inspect
 import re
 from collections import Counter
+from contextlib import contextmanager
+from functools import cache
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,12 +29,15 @@ from conedec import (
     parse_term,
     pommaret_general,
     pommaret_on_slice,
+    revenant_closure,
     term_divides,
     verify_division_covering,
     verify_ideal_equality,
     verify_order_ideal,
 )
 
+from conedec.oracle import walk_degrees
+from conedec.terms import support_key
 from conftest import mutated, term
 
 
@@ -96,7 +102,7 @@ def test_oracle_rejects_negative_margin(check):
 
 @pytest.fixture
 def naive_calls(monkeypatch):
-    """Counts of the oracle's two membership tests, by name."""
+    """Counts of the oracle's cone generator and of the two membership tests, by name."""
     calls = Counter()
 
     def count(owner, name):
@@ -106,6 +112,7 @@ def naive_calls(monkeypatch):
             calls[name] += 1
             return f(*args)
         monkeypatch.setattr(owner, name, counted)
+    count(conedec.oracle, "_cone_terms")
     count(conedec.oracle, "term_divides")
     count(RelDivision, "cone_contains")
     return calls
@@ -122,7 +129,8 @@ def test_ideal_equality_skips_the_slice_degree(naive_calls, pommaret32):
 
 def test_covering_tests_divisibility_only_where_no_cone_covers(naive_calls):
     assert verify_division_covering(pommaret_on_slice(3, 2), 2).valid
-    assert naive_calls["term_divides"] == 0 and naive_calls["cone_contains"] > 0
+    assert naive_calls["term_divides"] == naive_calls["cone_contains"] == 0
+    assert naive_calls["_cone_terms"] > 0
 
 
 def test_covering_at_margin_zero_on_a_slice_walks_nothing(naive_calls):
@@ -141,7 +149,7 @@ def covering_from_the_lowest_degree(div, margin):
     """Unique coverage checked on every degree from the lowest support degree
     itself to the highest + margin."""
     violations = []
-    degrees = [degree(t) for t in div.support]
+    degrees = [degree(t) for t in div.support] or [0]
     for d in range(min(degrees), max(degrees) + margin + 1):
         for w in enumerate_terms(div.n, d):
             owners = [u for u in div.support if div.cone_contains(u, w)]
@@ -158,37 +166,155 @@ def slices():
     return [*enumerate_divisions(3, 2), *enumerate_divisions(3, 3)]
 
 
+def ideal_equality_pair_by_pair(div, members, margin):
+    """verify_ideal_equality testing every (walked term, member) pair for
+    divisibility and for cone membership."""
+    members = [support_key(t, div.mult) for t in members]
+    for d in walk_degrees(div, margin):
+        for w in enumerate_terms(div.n, d):
+            plain = any(term_divides(m, w) for m in members)
+            coned = any(div.cone_contains(m, w) for m in members)
+            if plain != coned:
+                return False, w
+    return True, None
+
+
+def order_ideal_pair_by_pair(div, members, margin):
+    """verify_order_ideal testing cone membership of every (term, member) pair
+    for the covered walked terms and their one-variable divisors."""
+    members = [support_key(t, div.mult) for t in members]
+
+    @cache
+    def covered(w):
+        return any(div.cone_contains(m, w) for m in members)
+
+    for d in walk_degrees(div, margin):
+        for w in enumerate_terms(div.n, d):
+            if not covered(w):
+                continue
+            for i, e in enumerate(w):
+                if e:
+                    s = w[:i] + (e - 1,) + w[i + 1:]
+                    if not covered(s):
+                        return False, (w, s)
+    return True, None
+
+
 _MIXED = [t for d in (1, 2, 3) for t in enumerate_terms(3, d)]
+
+
+@contextmanager
+def oracle_work():
+    """Counts the cone terms the oracle builds and the divisibility tests it makes."""
+    work = Counter()
+    cone_terms, divides = conedec.oracle._cone_terms, conedec.oracle.term_divides
+
+    def built(*args):
+        cone = cone_terms(*args)
+        work["cone terms"] += len(cone)
+        return cone
+
+    def tested(*args):
+        work["divisibility tests"] += 1
+        return divides(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conedec.oracle, "_cone_terms", built)
+        mp.setattr(conedec.oracle, "term_divides", tested)
+        yield work
+
+
+def walked_terms(div, margin):
+    return sum(len(enumerate_terms(div.n, d)) for d in walk_degrees(div, margin))
+
+
+def draw_division(data, slices):
+    """A (3,2) or (3,3) slice division, one with a row mutated, or a Pommaret
+    or Janet division of up to 8 terms of degrees 1 to 3."""
+    kind = data.draw(st.sampled_from(["slice", "mutated", "general"]))
+    if kind == "general":
+        rule = data.draw(st.sampled_from([pommaret_general, janet_general]))
+        return rule(sorted(data.draw(st.sets(st.sampled_from(_MIXED), min_size=1, max_size=8))), 3)
+    div = data.draw(st.sampled_from(slices))
+    return mutated(data, div) if kind == "mutated" else div
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data(), st.integers(0, 3))
 def test_one_walk_plan_for_covering_and_the_cli_bound(slices, data, margin):
-    """The covering walk finds what a walk from the lowest support degree finds,
-    and the CLI's work bound counts exactly the cone tests the walk makes."""
-    kind = data.draw(st.sampled_from(["slice", "mutated", "general"]))
-    if kind == "general":
-        rule = data.draw(st.sampled_from([pommaret_general, janet_general]))
-        div = rule(sorted(data.draw(st.sets(st.sampled_from(_MIXED), min_size=1, max_size=8))), 3)
-    else:
-        div = data.draw(st.sampled_from(slices))
-        div = mutated(data, div) if kind == "mutated" else div
-    calls = Counter()
-    contains = RelDivision.cone_contains
-
-    def counted(*args):
-        calls["cone_contains"] += 1
-        return contains(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(RelDivision, "cone_contains", counted)
+    """The covering walk finds what a walk from the lowest support degree finds;
+    the CLI's work bound is exactly the walked terms times the support terms,
+    and the cone terms the walk builds plus its divisibility tests stay within it."""
+    div = draw_division(data, slices)
+    with oracle_work() as work:
         report = verify_division_covering(div, margin)
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conedec.cli, "MAX_ORACLE_WORK", -1)
         with pytest.raises(conedec.cli.UsageError) as refusal:
             conedec.cli._check_oracle_work("--oracle", margin, div)
     assert report.violations == covering_from_the_lowest_degree(div, margin)
     pairs = re.search(r"would test ([\d,]+) \(term, support term\) pairs", str(refusal.value))
-    assert int(pairs[1].replace(",", "")) == calls["cone_contains"]
+    bound = int(pairs[1].replace(",", ""))
+    assert bound == walked_terms(div, margin) * len(div.support)
+    assert work.total() <= bound
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data(), st.integers(0, 3))
+def test_certificates_match_their_pair_by_pair_references(slices, data, margin):
+    """Both certificate walks give exactly the (ok, counterexample) of the
+    pair-by-pair walks, on member lists (repeats allowed) and, on valid slices,
+    on the closures that ideal_from_seed and escalier_from_seed certify.  Each
+    builds at most twice the CLI's work bound in cone terms."""
+    div = draw_division(data, slices)
+    ideal = order = data.draw(st.lists(st.sampled_from(div.support), max_size=12))
+    if data.draw(st.booleans()) and div.is_full_slice and div.is_valid:
+        ideal = compliant_closure(div, ideal).closure
+        order = revenant_closure(div, order).closure
+    bound = walked_terms(div, margin) * len(div.support)
+    with oracle_work() as work:
+        assert (verify_ideal_equality(div, ideal, margin)
+                == ideal_equality_pair_by_pair(div, ideal, margin))
+    assert work.total() <= 2 * bound
+    with oracle_work() as work:
+        assert (verify_order_ideal(div, order, margin)
+                == order_ideal_pair_by_pair(div, order, margin))
+    assert work.total() <= 2 * bound
+
+
+_EDGES = {
+    "vertex-with-no-multiplicative-variable":
+        RelDivision.general(2, {(1, 0): {1, 2}, (1, 1): set(), (0, 2): {2}}),
+    "one-variable": RelDivision.general(1, {(1,): set(), (3,): {1}}),
+    "one-variable-slice": pommaret_on_slice(1, 2),
+    "vertex-above-the-walked-degree":
+        RelDivision.general(3, {(1, 0, 0): {1}, (0, 2, 1): {2, 3}, (0, 0, 4): {3}}),
+    "slice": pommaret_on_slice(3, 2),  # margin 0 walks nothing
+    "empty-support": RelDivision.general(2, {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGES))
+def test_cone_generator_edge_cases_match_the_references(name):
+    div = _EDGES[name]
+    subsets = [c for r in range(len(div.support) + 1) for c in combinations(div.support, r)]
+    for margin in range(4):
+        report = verify_division_covering(div, margin)
+        assert report.violations == covering_from_the_lowest_degree(div, margin)
+        for members in subsets:
+            assert (verify_ideal_equality(div, members, margin)
+                    == ideal_equality_pair_by_pair(div, members, margin))
+            assert (verify_order_ideal(div, members, margin)
+                    == order_ideal_pair_by_pair(div, members, margin))
+
+
+def test_cone_generator_builds_the_degree_d_part_of_a_cone():
+    # a cone with no multiplicative variable is its vertex, at the vertex's degree only
+    cone = conedec.oracle._cone_terms
+    assert cone((1, 1), frozenset(), 2) == [(1, 1)]
+    assert cone((1, 1), frozenset(), 1) == cone((1, 1), frozenset(), 3) == []
+    assert cone((2,), {1}, 4) == [(4,)]
+    assert cone((1, 0, 2), {1, 3}, 4) == [(2, 0, 2), (1, 0, 3)]
 
 
 def test_ideal_equality(facile):
@@ -247,7 +373,7 @@ def test_oracle_reads_only_the_naive_surface_of_a_division():
     used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
              for alias in node.names}
-    assert "cone_contains" in used
+    assert {"mult", "support"} <= used
     assert not used & {"pair_table", "PairTable", "quotient_masks", "at_most_masks",
                        "landing_masks", "lands", "heads", "tails",
                        "is_valid", "validate", "_violations"}
