@@ -37,7 +37,8 @@ MAX_SLICE_TERMS = 2_000
 # Largest oracle walk (validate --oracle, closure --certify), in terms walked ×
 # support terms: at most that many cone terms built plus divisors tested (twice
 # for a certificate), the worst case of an all-variables file.  The slowest file
-# tried, x1..x6 each with every variable at --oracle 15, takes 1.9 s on 2 cores.
+# tried, x1..x6 each with every variable at --oracle 15, takes 1.2-1.3 s on 2
+# cores; the constant term with every variable of 3 at --oracle 142, 0.6-0.7 s.
 MAX_ORACLE_WORK = 500_000
 # Largest enumerate search, in terms × 2^(n-1): a term with one required
 # variable has 2^(n-1) candidate sets, listed at the root and wherever its

@@ -93,6 +93,15 @@ class PairTable(NamedTuple):
         return [t for t, m in enumerate(self.lands) if m >> s & 1]
 
 
+def _in_cone(vertex: Term, m: VarSet, w: Term) -> bool:
+    """RelDivision.cone_contains for a vertex with multiplicative variables m,
+    and a term w in as many variables."""
+    for i, (a, b) in enumerate(zip(vertex, w), 1):
+        if a != b and (a > b or i not in m):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class RelDivision:
     """A multiplicative-variable assignment over a fixed finite support.
@@ -158,18 +167,17 @@ class RelDivision:
         """w lies in the cone of vertex: at every variable the exponents of
         vertex and w agree, or w has the larger one at a multiplicative
         variable of vertex."""
-        m = self.mult[support_key(vertex, self.mult)]
-        if len(w) != self.n:
-            raise ValueError(f"term {w} does not have {self.n} variables")
-        for i, (a, b) in enumerate(zip(vertex, w), 1):
-            if a != b and (a > b or i not in m):
-                return False
-        return True
+        vertex = support_key(vertex, self.mult)
+        return _in_cone(vertex, self.mult[vertex], check_term(w, self.n))
 
     def involutive_divisor(self, w: Term) -> Term | None:
         """Deg-lex-first support term whose cone contains w; None when no cone does.
         Unique on a valid full-slice assignment whenever deg(w) >= degree."""
-        return next((u for u in self.support if self.cone_contains(u, w)), None)
+        check_term(w, self.n)
+        for u, m in self.mult.items():  # in support order
+            if _in_cone(u, m, w):
+                return u
+        return None
 
     def x_of(self, s: Term, t: Term) -> Term:
         """The support term whose cone contains lcm(s, t)."""

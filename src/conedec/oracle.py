@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .division import RelDivision, ValidationReport
 from .terms import (
-    Term, check_degree, degree, deglex_key, enumerate_terms, format_term, support_key,
+    Term, VarSet, check_degree, degree, deglex_key, enumerate_terms, format_term, support_key,
     term_divides)
 
 
@@ -22,34 +22,46 @@ def walk_degrees(div: RelDivision, margin: int) -> range:
     return range(degree(terms[0]) + 1, degree(terms[-1]) + margin + 1) if terms else range(0)
 
 
-def _cone_terms(vertex: Term, variables, d: int) -> list[Term]:
-    """The degree-d terms of the cone of vertex over the given variables: vertex
-    times every product of degree d - deg(vertex) in them."""
-    k, variables = d - degree(vertex), sorted(variables)
-    if k < 0 or not variables:  # enumerate_terms refuses 0 variables
-        return [vertex] if k == 0 else []
-    cone = []
-    for p in enumerate_terms(len(variables), k):
-        w = list(vertex)
-        for i, e in zip(variables, p):
-            w[i - 1] += e
-        cone.append(tuple(w))
-    return cone
+def _cone_terms(vertex: Term, variables: VarSet, d: int, table: dict) -> list[Term]:
+    """The degree-d terms of the cone of vertex over the given variables, in
+    deg-lex order: vertex times every product of degree d - deg(vertex) in them.
+
+    table belongs to one oracle call, whose walk asks for each cone degree by
+    degree.  It holds each cone at the last degree asked, split by the highest
+    variable raised above the vertex (the vertex itself in the first part).  One
+    degree up, each part takes every term of the parts up to and including
+    its own, raised at its variable: each term is made once, from the one below."""
+    k = d - degree(vertex)
+    if k < 0:
+        return []
+    key = vertex, variables
+    held = table.get(key)
+    if held is None or held[0] > k:
+        held = 0, [[vertex]]
+    j, parts = held
+    if j < k:
+        at = [i - 1 for i in sorted(variables)]
+        for _ in range(k - j):
+            parts = [[w[:i] + (w[i] + 1,) + w[i + 1:] for part in parts[:h + 1] for w in part]
+                     for h, i in enumerate(at)]
+        table[key] = k, parts
+    return [w for part in parts for w in part]
 
 
-def _covered(div: RelDivision, members, d: int) -> set[Term]:
+def _covered(div: RelDivision, members, d: int, table: dict) -> set[Term]:
     """The degree-d terms of the union of the members' cones."""
-    return {w for m in members for w in _cone_terms(m, div.mult[m], d)}
+    return {w for m in members for w in _cone_terms(m, div.mult[m], d, table)}
 
 
 def verify_division_covering(div: RelDivision, margin: int = 3) -> ValidationReport:
     """Check unique cone coverage of every multiple of the support, degree by
     degree over walk_degrees; margin 0 on a slice walks nothing."""
     violations: list[dict] = []
+    table: dict = {}
     for d in walk_degrees(div, margin):
         owners_of: dict[Term, list[Term]] = {}  # in support order
         for u in div.support:
-            for w in _cone_terms(u, div.mult[u], d):
+            for w in _cone_terms(u, div.mult[u], d, table):
                 owners_of.setdefault(w, []).append(u)
         for w in enumerate_terms(div.n, d):
             owners = owners_of.get(w, ())
@@ -66,9 +78,10 @@ def verify_ideal_equality(div: RelDivision, members, margin: int = 3):
     as ordinary divisibility by the members?  Checked over walk_degrees, up to
     the highest support degree + margin; returns (ok, counterexample)."""
     members = {support_key(t, div.mult) for t in members}
+    every, table = frozenset(range(1, div.n + 1)), {}
     for d in walk_degrees(div, margin):
-        plain = {w for m in members for w in _cone_terms(m, range(1, div.n + 1), d)}
-        missing = plain - _covered(div, members, d)  # the cones lie inside plain
+        plain = {w for m in members for w in _cone_terms(m, every, d, table)}
+        missing = plain - _covered(div, members, d, table)  # the cones lie inside plain
         if missing:
             return False, next(w for w in enumerate_terms(div.n, d) if w in missing)
     return True, None
@@ -82,10 +95,10 @@ def verify_order_ideal(div: RelDivision, members, margin: int = 3):
     Only the divisors w / x_i of covered walked terms w are tested: a divisor of
     w down to the lowest support degree is reached by walked one-variable steps."""
     members = {support_key(t, div.mult) for t in members}
-    walk = walk_degrees(div, margin)
-    below = _covered(div, members, walk.start - 1) if walk else set()
+    walk, table = walk_degrees(div, margin), {}
+    below = _covered(div, members, walk.start - 1, table) if walk else set()
     for d in walk:
-        here = _covered(div, members, d)
+        here = _covered(div, members, d, table)
         for w in filter(here.__contains__, enumerate_terms(div.n, d)):
             for i, e in enumerate(w):
                 if e:

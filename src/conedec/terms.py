@@ -42,7 +42,9 @@ def term_div(t: Term, s: Term) -> Term:
 
 
 def term_lcm(t: Term, s: Term) -> Term:
-    return tuple(max(a, b) for a, b in zip(t, s, strict=True))
+    if len(t) != len(s):
+        raise ValueError(f"terms {t} and {s} differ in length")
+    return tuple(map(max, t, s))
 
 
 def term_gcd(t: Term, s: Term) -> Term:
@@ -145,11 +147,14 @@ def at_most_masks(terms) -> list[dict[int, int]]:
 def enumerate_terms(n: int, d: int) -> list[Term]:
     """All degree-d terms in n variables, in deg-lex order: the last exponent
     ascending, and for each last exponent the slice in one variable fewer."""
-    check_count(n)
-    check_degree(d)
+    return _slice(check_count(n), check_degree(d))
+
+
+def _slice(n: int, d: int) -> list[Term]:
+    # enumerate_terms on arguments already checked
     if n == 1 or d == 0:  # a single term: (d,) or the constant term
         return [(0,) * (n - 1) + (d,)]
-    return [t + (e,) for e in range(d + 1) for t in enumerate_terms(n - 1, d - e)]
+    return [t + (e,) for e in range(d + 1) for t in _slice(n - 1, d - e)]
 
 
 def _comb0(m: int, r: int) -> int:

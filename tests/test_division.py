@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +64,18 @@ def test_involutive_divisor_unique_scan(pommaret32):
     assert owners == [term("y*z")]
     assert pommaret32.involutive_divisor(w) == term("y*z")
     assert pommaret32.involutive_divisor(term("x")) is None  # degree below the slice
+
+
+@pytest.mark.parametrize("w", ["abc", (1, 1), [1, 1, 0], (1, 1.0, 0)])
+def test_involutive_divisor_checks_the_term_before_the_scan(pommaret32, w):
+    # an empty support has no cone to test w against, and still refuses it
+    refusal = rf"^bad exponent vector {re.escape(repr(w))} for n=3$"
+    for div in (pommaret32, RelDivision.general(3, {})):
+        with pytest.raises(ValueError, match=refusal):
+            div.involutive_divisor(w)
+    with pytest.raises(ValueError, match=refusal):  # the same check as cone membership
+        pommaret32.cone_contains(term("x*y"), w)
+    assert RelDivision.general(3, {}).involutive_divisor((1, 1, 0)) is None
 
 
 def test_x_of(pommaret32, ideal33):

@@ -310,11 +310,39 @@ def test_cone_generator_edge_cases_match_the_references(name):
 
 def test_cone_generator_builds_the_degree_d_part_of_a_cone():
     # a cone with no multiplicative variable is its vertex, at the vertex's degree only
-    cone = conedec.oracle._cone_terms
-    assert cone((1, 1), frozenset(), 2) == [(1, 1)]
-    assert cone((1, 1), frozenset(), 1) == cone((1, 1), frozenset(), 3) == []
-    assert cone((2,), {1}, 4) == [(4,)]
-    assert cone((1, 0, 2), {1, 3}, 4) == [(2, 0, 2), (1, 0, 3)]
+    cone, table = conedec.oracle._cone_terms, {}  # one table per variable count, as per call
+    assert cone((1, 1), frozenset(), 2, table) == [(1, 1)]
+    assert cone((1, 1), frozenset(), 1, table) == cone((1, 1), frozenset(), 3, table) == []
+    assert cone((2,), frozenset({1}), 4, {}) == [(4,)]
+    table = {}
+    assert cone((1, 0, 2), frozenset({1, 3}), 4, table) == [(2, 0, 2), (1, 0, 3)]
+    # one table serves the next degree, another vertex, and a lower degree asked again
+    assert cone((1, 0, 2), frozenset({1, 3}), 5, table) == [(3, 0, 2), (2, 0, 3), (1, 0, 4)]
+    assert cone((0, 1, 0), frozenset({1, 3}), 3, table) == [(2, 1, 0), (1, 1, 1), (0, 1, 2)]
+    assert cone((1, 0, 2), frozenset({1, 3}), 4, table) == [(2, 0, 2), (1, 0, 3)]
+
+
+def test_no_cone_table_outlives_an_oracle_call():
+    """Two divisions on one support that differ in one multiplicative set,
+    certified A, B, A: each answer is its own reference's, and the repeated
+    call builds as many cone terms as the first did."""
+    a = pommaret_on_slice(3, 2)
+    xy = term("x*y")
+    b = RelDivision.on_slice(3, 2, {**a.mult, xy: a.mult[xy] - {1}})
+    work_of = {}
+    for name, div in (("A", a), ("B", b), ("A", a)):
+        with oracle_work() as work:
+            got = verify_ideal_equality(div, [xy], 2), verify_order_ideal(div, [xy], 2)
+            report = verify_division_covering(div, 2)
+        assert got == (ideal_equality_pair_by_pair(div, [xy], 2),
+                       order_ideal_pair_by_pair(div, [xy], 2))
+        assert report.violations == covering_from_the_lowest_degree(div, 2)
+        assert work_of.setdefault(name, work) == work
+    assert (verify_ideal_equality(a, [xy], 2), verify_order_ideal(a, [xy], 2)) != (
+        verify_ideal_equality(b, [xy], 2), verify_order_ideal(b, [xy], 2))
+    kept = [name for name, value in vars(conedec.oracle).items() if not name.startswith("__")
+            and (isinstance(value, (dict, list, set)) or hasattr(value, "cache_info"))]
+    assert kept == []  # no table is held between calls
 
 
 def test_ideal_equality(facile):

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import re
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -71,6 +71,12 @@ def test_slice_built_in_deglex_order(n, d):
     assert T.enumerate_terms(n, d) == _slice_by_sorting(n, d)
 
 
+@given(st.integers(1, 4), st.integers(0, 5))
+def test_slice_is_the_filtered_product(n, d):
+    want = [t for t in product(range(d + 1), repeat=n) if sum(t) == d]
+    assert T.enumerate_terms(n, d) == sorted(want, key=T.deglex_key)
+
+
 terms2 = st.tuples(*([st.integers(min_value=0, max_value=6)] * 4))
 
 
@@ -92,6 +98,16 @@ def test_divides_div_roundtrip(a, b):
 def test_div_requires_divisibility():
     with pytest.raises(ValueError, match="does not divide"):
         T.term_div((1, 0), (0, 1))
+
+
+@given(st.lists(st.integers(0, 6), max_size=4).map(tuple),
+       st.lists(st.integers(0, 6), max_size=4).map(tuple))
+def test_lcm_is_the_componentwise_max(a, b):
+    if len(a) == len(b):
+        assert T.term_lcm(a, b) == tuple(max(x, y) for x, y in zip(a, b))
+    else:
+        with pytest.raises(ValueError, match=r"^terms \(.*\) and \(.*\) differ in length$"):
+            T.term_lcm(a, b)
 
 
 def test_mixed_lengths_rejected():
