@@ -43,7 +43,9 @@ class PartialAssignment:
     no row.  Required sets are derived by required(), not stored.  Each pair
     of terms is constrained when the first of the two is assigned: the open
     one gets a forced-out variable or a group, which assign() checks before
-    accepting its set, so the rows of assigned terms are never read."""
+    accepting its set, so the rows of assigned terms are never read.  Every
+    open term of a state made by seed_constraints() or assign() has a set
+    size left, so assign() re-checks only the terms its choice can starve."""
 
     n: int
     d: int
@@ -98,25 +100,22 @@ class PartialAssignment:
 
     # -- constraint plumbing (replaces rows of fresh copies only) ----------
 
-    def _feasible(self, t: Term) -> None:
-        if not self._sizes(t, self.required(t)):
-            raise ConflictError(
-                f"no admissible set size left for {format_term(t)}")
-
-    def _not_superset(self, t: Term, a: VarSet) -> None:
-        """Record that M(t) must not contain all of a, for an open term t.
-        The residue a - required(t) is never empty (the required set is empty,
-        or {i} for t = x_i^D, and then a holds a variable other than i) and
-        never shrinks, so every kept group has at least two free variables."""
+    def _not_superset(self, t: Term, a: VarSet) -> bool:
+        """Record that M(t) must not contain all of a, for an open term t, and
+        say whether its forced-out set grew.  The residue a - required(t) is
+        never empty (the required set is empty, or {i} for t = x_i^D, and then
+        a holds a variable other than i) and never shrinks, so every kept group
+        has at least two free variables."""
         out = self.forced_out[t]
         if a & out:
-            return
+            return False
         residue = a - self.required(t)
         if len(residue) == 1:
             out = self.forced_out[t] = out | residue
             self.groups[t] = tuple(g for g in self.groups[t] if not g & out)
         elif a not in self.groups[t]:
             self.groups[t] += (a,)
+        return len(residue) == 1
 
     def assign(self, t: Term, m: VarSet) -> "PartialAssignment":
         """New state with M(t) = m; raises ConflictError when impossible."""
@@ -145,12 +144,14 @@ class PartialAssignment:
         # variables towards t are all multiplicative for t must miss one of
         # t's quotient variables towards u
         todo = nxt.unassigned()
+        grown = []  # open terms whose forced-out set grew
         for u in todo:
             w = term_gcd(t, u)
-            if support(term_div(u, w)) <= m:
-                nxt._not_superset(u, support(term_div(t, w)))
-        for u in todo:  # the budget shrank for every open term
-            nxt._feasible(u)
+            if support(term_div(u, w)) <= m and nxt._not_superset(u, support(term_div(t, w))):
+                grown.append(u)
+        for u in todo if nxt.budget[len(m)] == 0 else grown:  # the others keep their sizes
+            if not nxt._sizes(u, nxt.required(u)):
+                raise ConflictError(f"no admissible set size left for {format_term(u)}")
         return nxt
 
 

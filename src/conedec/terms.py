@@ -29,13 +29,18 @@ def deglex_key(t: Term) -> tuple[int, Term]:
 
 def term_divides(s: Term, t: Term) -> bool:
     """True when s | t componentwise."""
-    # a list, not a generator: zip checks the lengths only once it is exhausted
-    return all([a <= b for a, b in zip(s, t, strict=True)])
+    try:  # a list, not a generator: zip checks the lengths only once it is exhausted
+        return all([a <= b for a, b in zip(s, t, strict=True)])
+    except ValueError:
+        raise ValueError(f"terms {s} and {t} differ in length") from None
 
 
 def term_div(t: Term, s: Term) -> Term:
     """Exact quotient t / s; raises ValueError when s does not divide t."""
-    q = tuple(a - b for a, b in zip(t, s, strict=True))
+    try:
+        q = tuple(a - b for a, b in zip(t, s, strict=True))
+    except ValueError:
+        raise ValueError(f"terms {t} and {s} differ in length") from None
     if min(q, default=0) < 0:
         raise ValueError(f"{s} does not divide {t}")
     return q
@@ -48,7 +53,10 @@ def term_lcm(t: Term, s: Term) -> Term:
 
 
 def term_gcd(t: Term, s: Term) -> Term:
-    return tuple(min(a, b) for a, b in zip(t, s, strict=True))
+    try:
+        return tuple(min(a, b) for a, b in zip(t, s, strict=True))
+    except ValueError:
+        raise ValueError(f"terms {t} and {s} differ in length") from None
 
 
 def support(t: Term) -> VarSet:

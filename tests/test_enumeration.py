@@ -672,7 +672,7 @@ def outcome(assign, *args):
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from([(3, 2), (3, 3), (4, 2), (5, 4)]), st.data())
+@given(st.sampled_from([(3, 2), (3, 3), (4, 2), (5, 4), (2, 4), (4, 1), (6, 3)]), st.data())
 def test_propagation_matches_fixpoint_reference(slice_, data):
     """Random choice sequences, mostly candidates of open terms, sometimes an
     arbitrary set or an assigned term: both propagations keep equal states,
@@ -691,6 +691,56 @@ def test_propagation_matches_fixpoint_reference(slice_, data):
         if got is not None:
             assert_same_state(got, want)
             new, old = got, want
+
+
+def replayed(n, d, choices):
+    """Both propagations after these choices ('term', variables), each accepted."""
+    new, old = seed_constraints(n, d), reference_seed(n, d)
+    for text, m in choices:
+        t, m = term(text, n), frozenset(m)
+        new, old = new.assign(t, m), reference_assign(old, t, m)
+        assert_same_state(new, old)
+    return new, old
+
+
+def test_a_spent_size_starves_a_term_the_choice_does_not_touch():
+    """x*y = y forces x out of y^2, so y^2 can take size 1 only; x^2 = x then
+    spends size 1 without touching y^2, and the closing check must still read
+    y^2 because the chosen size ran out."""
+    new, old = replayed(2, 2, [("x*y", {2})])
+    t, m = term("x^2", 2), frozenset({1})
+    assert new.budget[1] == 1 and new.candidates(term("y^2", 2)) == [frozenset({2})]
+    _, got = outcome(new.assign, t, m)
+    _, want = outcome(reference_assign, old, t, m)
+    assert got == want == "no admissible set size left for y^2"
+
+
+def test_a_grown_forced_out_set_starves_its_term():
+    """x*y*z may take only {y} when x*y^2 = y,z forces y out of it too: the
+    check reads x*y*z because its forced-out set grew, as size 2 keeps budget."""
+    new, old = replayed(3, 3, [("x^2*z", {1, 2}), ("y*z^2", {1})])
+    t, m = term("x*y^2"), frozenset({2, 3})
+    assert new.budget[2] > 1 and new.candidates(term("x*y*z"))
+    _, got = outcome(new.assign, t, m)
+    _, want = outcome(reference_assign, old, t, m)
+    assert got == want == "no admissible set size left for x*y*z"
+
+
+def test_a_choice_that_starves_nothing_checks_no_size(monkeypatch):
+    """y*z = x,y adds a group to an open term, forces no variable out and
+    leaves size 2 with budget: the closing check reads no term."""
+    new, old = replayed(3, 2, [("x*z", {3}), ("y^2", {2}), ("x*y", {2})])
+    t, m = term("y*z"), frozenset({1, 2})
+    calls = []
+    sizes = PartialAssignment._sizes
+    monkeypatch.setattr(PartialAssignment, "_sizes",
+                        lambda pa, u, base: calls.append(u) or sizes(pa, u, base))
+    nxt = new.assign(t, m)
+    assert calls == []
+    assert nxt.budget[2] > 0
+    assert all(nxt.forced_out[u] is new.forced_out[u] for u in nxt.unassigned())
+    assert any(nxt.groups[u] is not new.groups[u] for u in nxt.unassigned())
+    assert_same_state(nxt, reference_assign(old, t, m))
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

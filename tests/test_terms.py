@@ -123,8 +123,8 @@ def test_mixed_lengths_rejected():
                               "prefix-swapped"])
 def test_every_kernel_rejects_mixed_lengths(kernel, a, b):
     # (5, 0) against (1, 0, 0) settles divisibility at the first exponent;
-    # the length mismatch must still raise
-    with pytest.raises(ValueError):
+    # the length mismatch must still raise, and name both terms in argument order
+    with pytest.raises(ValueError, match=f"^{re.escape(f'terms {a} and {b} differ in length')}$"):
         kernel(a, b)
 
 
