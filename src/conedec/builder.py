@@ -68,7 +68,7 @@ class BuildSession:
 
     @property
     def complete(self) -> bool:
-        return not self.state.unassigned()
+        return len(self.state.assigned) == len(self.state.support)
 
     def division(self) -> RelDivision:
         if not self.complete:

@@ -266,7 +266,8 @@ def _paths(edges: tuple | None, masks: list[int]):
     mask; yields masks once per path, filled in (the same list each time, so
     read it before the next).  A state's edges are one flat tuple (row, mask,
     child's edges, mask, child's edges, ...), row being that of the term it
-    branches on; the sink's are (), and a dead state's None."""
+    branches on; the sink's are (), a dead state's None, and those of a child
+    one leaf completes (its open rows, leaf), whose path sets only those rows."""
     if edges == ():
         yield masks
     stack = [(edges[0], zip(edges[1::2], edges[2::2]))] if edges else []
@@ -274,11 +275,14 @@ def _paths(edges: tuple | None, masks: list[int]):
         k, pairs = stack[-1]
         for mask, child in pairs:
             masks[k] = mask
-            if child == ():
-                yield masks
-            else:  # edges lead to live states only
+            if len(child) == 2:  # a one-leaf record
+                rows, leaf = child
+                for r in rows:
+                    masks[r] = leaf[r]
+            elif child:  # edges lead to live states only
                 stack.append((child[0], zip(child[1::2], child[2::2])))
                 break
+            yield masks
         else:
             stack.pop()
 
@@ -291,7 +295,9 @@ def _search(pa: PartialAssignment, lists: dict, row: dict, table: dict, pick,
     is replayed from there.  pick (min or max by candidate count, the first
     on ties) chooses the term to branch on.  Without leaves, choices that
     conflict and states that fail Hall's test are dead ends; with leaves
-    (row-mask tuples), only options some leaf agrees with are tried."""
+    (row-mask tuples), only options some leaf agrees with are tried, and an
+    option only one leaf agrees with is neither propagated nor keyed: that
+    leaf is the child's one path, recorded as (the child's open rows, leaf)."""
     masks, codes, stack = [0] * len(row), {}, []
     key = _state_key(pa, codes)
     while True:  # enter pa, a state not in the table
@@ -310,6 +316,11 @@ def _search(pa: PartialAssignment, lists: dict, row: dict, table: dict, pick,
                 live = None if leaves is None else [leaf for leaf in leaves if leaf[k] == mask]
                 if live == []:  # no leaf takes m
                     continue
+                if live is not None and len(live) == 1:  # the child's one path
+                    taken.append((mask, (tuple(row[u] for u in lists if u != best), live[0])))
+                    masks[:] = live[0]  # it agrees with the path on every assigned row
+                    yield masks
+                    continue
                 try:
                     nxt = pa.assign(best, m)
                 except ConflictError:
@@ -323,9 +334,10 @@ def _search(pa: PartialAssignment, lists: dict, row: dict, table: dict, pick,
                     break
                 yield from _paths(table[child], masks)
             else:  # no state below has this key: each has fewer open terms
-                stack.pop()
-                edges = [x for mask, child in taken if table[child] is not None
-                         for x in (mask, table[child])]
+                stack.pop()  # a child is a key (of ints) or a one-leaf record
+                edges = [x for mask, child in taken
+                         for sub in [child if type(child[0]) is tuple else table[child]]
+                         if sub is not None for x in (mask, sub)]
                 table[key] = (k, *edges) if edges else None
                 continue
             pa, lists, key, leaves = nxt, _carried(lists, pa, nxt, best), child, live
@@ -344,7 +356,9 @@ def enumerate_divisions(n: int, d: int, up_to_symmetry: bool = False):
     Hall's condition; its paths are the leaves, and its table is freed before
     the stream starts.  The second branches on the term with the most, the
     rule that fixes the stream order, into options some leaf agrees with
-    only; it streams, and its table lives until the stream ends or is closed.
+    only, and searches only children two or more leaves agree with (one
+    leaf's child is recorded as its open rows and the leaf).  It streams,
+    and its table lives until the stream ends or is closed.
 
     With up_to_symmetry, only the canonical representative of each variable-
     renaming orbit is produced (the one whose own serialization attains the

@@ -6,7 +6,7 @@ from copy import deepcopy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -113,9 +113,10 @@ def test_no_conflict_after_the_first_division(monkeypatch):
     # it, 5,886 without Hall's test either
     assert at_first["assign"] <= 1_021
     assert counts["conflicts"] == at_first["conflicts"]
-    # each live state of phase 2 searched once too: 3,254 with one search
-    # per path to it
-    assert counts["assign"] == 2_075
+    # phase 2 searches each state that two or more leaves complete once and
+    # writes the rest from their one leaf: 2,075 when it searched every live
+    # state once, 3,254 with one search per path to it
+    assert counts["assign"] == 1_260
 
 
 def test_stream_is_deterministic():
@@ -348,19 +349,21 @@ def test_phase_one_leaves_nothing_for_the_cyclic_collector():
     when the stream ends or is closed, not whenever the cyclic collector
     next runs.  A recursive closure that kept phase 1's in a reference cycle
     read +10% peak RSS on the benchmark's enumerate workload, and recursive
-    generators that referred to themselves +14% with phase 2's."""
+    generators that referred to themselves +14% with phase 2's.  Both slices
+    make one-leaf records and replay some of them."""
     gc.collect()
     gc.disable()
     try:
-        stream = enumerate_divisions(3, 3)
-        next(stream)
-        assert gc.collect() == 0
-        assert sum(1 for _ in stream) == 351
-        assert gc.collect() == 0
-        stream = enumerate_divisions(3, 3)
-        next(stream)
-        stream.close()
-        assert gc.collect() == 0
+        for n, d, count in [(3, 3, 352), (5, 1, 120)]:
+            stream = enumerate_divisions(n, d)
+            next(stream)
+            assert gc.collect() == 0
+            assert sum(1 for _ in stream) == count - 1
+            assert gc.collect() == 0
+            stream = enumerate_divisions(n, d)
+            next(stream)
+            stream.close()
+            assert gc.collect() == 0
     finally:
         gc.enable()
 
@@ -397,6 +400,72 @@ def test_memoized_replay_streams_what_the_unmemoized_one_did(n, d):
     the same divisions in the same order as searching it again."""
     assert [div.to_json() for div in enumerate_divisions(n, d)] == [
         div.to_json() for div in unmemoized_stream(n, d)]
+
+
+def phase_one(n, d):
+    """The seed of the slice, its candidate lists, the row of each term and
+    the leaves of phase 1 (row-mask tuples)."""
+    seed = seed_constraints(n, d)
+    lists = {t: seed.candidates(t) for t in seed.support}
+    row = {t: k for k, t in enumerate(seed.support)}
+    return seed, lists, row, [tuple(masks) for masks in _search(seed, lists, row, {}, min)]
+
+
+def one_leaf_records(edges):
+    """The one-leaf records (rows, leaf) below a state's edges, as _paths
+    reads them, once per path to each."""
+    if not edges:
+        return []
+    return [rec for child in edges[2::2]
+            for rec in ([child] if len(child) == 2 else one_leaf_records(child))]
+
+
+@pytest.mark.parametrize("n,d", [(3, 3), (4, 2)])
+def test_phase_two_propagates_only_states_two_leaves_complete(monkeypatch, n, d):
+    """Every state phase 2 propagates to agrees with two leaves or more on its
+    assigned rows, and so does every state it records: a child that only one
+    leaf completes is written from that leaf."""
+    seed, lists, row, leaves = phase_one(n, d)
+    real_assign, calls = PartialAssignment.assign, [0]
+    agree = {}  # (row, mask) -> bit i set when leaf i has mask on that row
+    for i, leaf in enumerate(leaves):
+        for k, mask in enumerate(leaf):
+            agree[k, mask] = agree.get((k, mask), 0) | 1 << i
+
+    def checked_assign(self, t, m):
+        nxt = real_assign(self, t, m)
+        agreeing = (1 << len(leaves)) - 1
+        for u, s in nxt.assigned.items():
+            agreeing &= agree.get((row[u], varmask(s)), 0)
+        assert agreeing.bit_count() >= 2
+        calls[0] += 1
+        return nxt
+
+    monkeypatch.setattr(PartialAssignment, "assign", checked_assign)
+    table = {}
+    assert sum(1 for _ in _search(seed, lists, row, table, max, leaves)) == len(leaves)
+    assert calls[0] > 0
+    assert table and all(len(list(islice(_paths(edges, [0] * len(row)), 2))) == 2
+                         for edges in table.values())
+    assert any(one_leaf_records(edges) for edges in table.values())
+
+
+@pytest.mark.parametrize("n,d", [(2, 6), (2, 8), (5, 1), (3, 4)])
+def test_one_leaf_records_stream_what_the_unmemoized_search_did(monkeypatch, n, d):
+    """Phase 2 writes a child only one leaf completes from that leaf, and
+    replays the record (the child's open rows, the leaf) when it reaches the
+    parent state again: the same divisions in the same order as propagating
+    every node.  On two variables no state with a record is reached twice."""
+    real_paths, replayed = enumeration._paths, []
+
+    def spying_paths(edges, masks):
+        replayed.extend(one_leaf_records(edges))
+        return real_paths(edges, masks)
+
+    monkeypatch.setattr(enumeration, "_paths", spying_paths)
+    assert [div.to_json() for div in enumerate_divisions(n, d)] == [
+        div.to_json() for div in unmemoized_stream(n, d)]
+    assert bool(replayed) == (n > 2)
 
 
 @pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (3, 3), (2, 4), (4, 1)])
